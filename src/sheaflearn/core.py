@@ -3,7 +3,13 @@ and the spectral quantities derived from them.
 
 A sheaf here assigns the ambient space R^d to every node and edge, and one
 orthonormal d x d restriction map per (node, edge) incidence. The Laplacian
-is assembled densely; target scale is V*d up to a few thousand.
+is assembled densely from its block formula (Hansen & Ghrist 2019): diagonal
+block u is the sum of F^T F over the edges at u, and each edge (u, v) adds
+the off-diagonal block -F_u^T F_v and its transpose. Total variation and the
+coboundary are computed edge by edge from the same maps. The (V*d) x (E*d)
+incidence matrix is built only when something reads it. At V*d = 4096 and
+E = 1089 (V = d = 64), L takes about 134 MB where the incidence would take
+about 2.2 GB; target scale is V*d up to a few thousand.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ import numpy as np
 # Orthonormality tolerance for restriction maps.
 ORTHO_TOL = 1e-9
 
-# Relative agreement required between L = B B^T and the direct block formula.
-ASSEMBLY_RTOL = 1e-12
+# Edges per batch in total_variation: bounds its residual buffer at
+# TV_CHUNK_EDGES x d x N values, whatever the edge count.
+TV_CHUNK_EDGES = 128
 
 
 class SheafStructureError(ValueError):
@@ -71,6 +78,10 @@ class RestrictionMap:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SheafStructureError("restriction map must be a square matrix")
+        if not np.all(np.isfinite(m)):
+            raise SheafStructureError(
+                f"restriction map at node {self.source_node} has non-finite entries"
+            )
         gram = m.T @ m
         if np.max(np.abs(gram - np.eye(m.shape[0]))) > ORTHO_TOL:
             raise SheafStructureError(
@@ -187,18 +198,24 @@ class Cochain0:
 
 @dataclass(frozen=True)
 class SheafLaplacian:
-    """Assembled sheaf Laplacian together with its incidence factorization.
+    """Assembled sheaf Laplacian of ``sheaf``.
 
-    Invariants (checked at assembly): matrix = incidence @ incidence.T,
-    matrix symmetric positive semi-definite.
+    ``matrix`` is the dense symmetric positive semi-definite (V*d) x (V*d)
+    Laplacian, assembled from the block formula. ``incidence`` is the
+    (V*d) x (E*d) matrix B with matrix = B B^T; it is assembled afresh on
+    every read and never kept, since it has E/V times as many entries as L.
     """
 
+    sheaf: Sheaf
     matrix: np.ndarray
-    incidence: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def incidence(self) -> np.ndarray:
+        return assemble_incidence(self.sheaf)
 
 
 def _check_cochain(sheaf: Sheaf, x: Cochain0) -> None:
@@ -208,6 +225,23 @@ def _check_cochain(sheaf: Sheaf, x: Cochain0) -> None:
     for u, b in enumerate(x.blocks):
         if b.shape[0] != d:
             raise SheafStructureError(f"cochain block {u} has {b.shape[0]} rows, expected {d}")
+
+
+def _edge_arrays(sheaf: Sheaf) -> tuple[np.ndarray, np.ndarray]:
+    """Edges as an (E, 2) array of (tail, head) and the restriction maps as
+    an (E, 2, d, d) stack with ``maps[e] = (F_tail, F_head)``."""
+    d = sheaf.ambient_dim
+    edges = np.array(sheaf.edges, dtype=np.intp).reshape(-1, 2)
+    maps = np.array(
+        [(fu.matrix, fv.matrix) for fu, fv in sheaf.maps], dtype=float
+    ).reshape(-1, 2, d, d)
+    return edges, maps
+
+
+def _edge_residuals(edges: np.ndarray, maps: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Coboundary blocks F_tail x_tail - F_head x_head, shape (E, d, N), of
+    the node signals ``xb`` (V, d, N) on the given edges."""
+    return maps[:, 0] @ xb[edges[:, 0]] - maps[:, 1] @ xb[edges[:, 1]]
 
 
 def assemble_incidence(sheaf: Sheaf) -> np.ndarray:
@@ -227,45 +261,50 @@ def assemble_incidence(sheaf: Sheaf) -> np.ndarray:
     return B
 
 
-def _laplacian_blocks(sheaf: Sheaf) -> np.ndarray:
-    """Direct block formula: diagonal sum of F^T F, off-diagonal -F_u^T F_v."""
-    d = sheaf.ambient_dim
-    L = np.zeros((sheaf.node_count * d, sheaf.node_count * d))
-    for (u, v), (fu, fv) in zip(sheaf.edges, sheaf.maps):
-        L[u * d:(u + 1) * d, u * d:(u + 1) * d] += fu.matrix.T @ fu.matrix
-        L[v * d:(v + 1) * d, v * d:(v + 1) * d] += fv.matrix.T @ fv.matrix
-        cross = fu.matrix.T @ fv.matrix
-        L[u * d:(u + 1) * d, v * d:(v + 1) * d] -= cross
-        L[v * d:(v + 1) * d, u * d:(u + 1) * d] -= cross.T
-    return L
-
-
 def assemble_laplacian(sheaf: Sheaf) -> SheafLaplacian:
-    """Assemble L = B B^T and cross-check against the direct block formula."""
-    B = assemble_incidence(sheaf)
-    L = B @ B.T
-    direct = _laplacian_blocks(sheaf)
-    scale = max(np.linalg.norm(L), 1.0)
-    if np.max(np.abs(L - direct)) > ASSEMBLY_RTOL * scale:
-        raise SheafStructureError("factorized and direct Laplacian assembly disagree")
-    return SheafLaplacian(matrix=L, incidence=B)
+    """Assemble L from its blocks: diagonal block u is the sum of F^T F over
+    the edges at u; edge (u, v) puts -F_u^T F_v at (u, v) and its transpose
+    at (v, u). Equals B B^T for B = ``assemble_incidence(sheaf)``."""
+    V, d = sheaf.node_count, sheaf.ambient_dim
+    edges, maps = _edge_arrays(sheaf)
+    L = np.zeros((V * d, V * d))
+    blocks = L.reshape(V, d, V, d)  # view: blocks[u, :, v, :] is block (u, v)
+    maps_t = maps.swapaxes(-1, -2)
+    diag = np.zeros((V, d, d))
+    np.add.at(diag, edges.ravel(), (maps_t @ maps).reshape(-1, d, d))
+    nodes = np.arange(V)
+    blocks[nodes, :, nodes, :] = diag
+    # The Sheaf invariants (no self-loops, each node pair at most once) make
+    # every off-diagonal block the target of exactly one edge.
+    neg_cross = -(maps_t[:, 0] @ maps[:, 1])
+    tail, head = edges[:, 0], edges[:, 1]
+    blocks[tail, :, head, :] = neg_cross
+    blocks[head, :, tail, :] = neg_cross.swapaxes(-1, -2)
+    return SheafLaplacian(sheaf=sheaf, matrix=L)
 
 
 def coboundary_apply(sheaf: Sheaf, x: Cochain0) -> list[np.ndarray]:
     """Apply the coboundary edge-wise: block e = F_tail x_tail - F_head x_head."""
     _check_cochain(sheaf, x)
-    out = []
-    for (u, v), (fu, fv) in zip(sheaf.edges, sheaf.maps):
-        out.append(fu.matrix @ x.blocks[u] - fv.matrix @ x.blocks[v])
-    return out
+    edges, maps = _edge_arrays(sheaf)
+    return list(_edge_residuals(edges, maps, np.stack(x.blocks)))
 
 
 def total_variation(L: SheafLaplacian, x) -> float:
-    """Quadratic form tr(X^T L X): summed squared edge disagreements."""
+    """Quadratic form tr(X^T L X), summed edge by edge as the squared edge
+    disagreements ||F_tail x_tail - F_head x_head||^2."""
     X = x.stacked if isinstance(x, Cochain0) else np.atleast_2d(np.asarray(x, float))
     if X.shape[0] != L.dim:
         raise SheafStructureError(f"signal has {X.shape[0]} rows, Laplacian dim is {L.dim}")
-    return float(np.sum((L.incidence.T @ X) ** 2))
+    sheaf = L.sheaf
+    xb = X.reshape(sheaf.node_count, sheaf.ambient_dim, X.shape[1])
+    edges, maps = _edge_arrays(sheaf)
+    tv = 0.0
+    for start in range(0, sheaf.edge_count, TV_CHUNK_EDGES):
+        chunk = slice(start, start + TV_CHUNK_EDGES)
+        r = _edge_residuals(edges[chunk], maps[chunk], xb)
+        tv += float(np.vdot(r, r))
+    return tv
 
 
 def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:

@@ -3,6 +3,8 @@ import pytest
 
 from sheaflearn import (
     Cochain0,
+    RestrictionMap,
+    Sheaf,
     SheafStructureError,
     assemble_incidence,
     assemble_laplacian,
@@ -18,6 +20,34 @@ from conftest import random_orthonormal, random_sheaf
 def rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def oriented_sheaf(rng, node_count, dim, edge_count):
+    """Random sheaf built with Sheaf(...) directly, bypassing make_sheaf's
+    min -> max orientation: each edge is flipped to tail > head at random,
+    the first one always."""
+    base = random_sheaf(rng, node_count, dim, edge_count)
+    flip = rng.random(base.edge_count) < 0.5
+    flip[:1] = True
+    edges, maps = [], []
+    for e, ((u, v), (fu, fv)) in enumerate(zip(base.edges, base.maps)):
+        if flip[e]:
+            u, v, fu, fv = v, u, fv, fu
+        edges.append((u, v))
+        maps.append((RestrictionMap(fu.matrix, u, e), RestrictionMap(fv.matrix, v, e)))
+    return Sheaf(base.stalks, tuple(edges), tuple(maps))
+
+
+def larger_sheaves(rng):
+    """Random sheaves up to V = 24 and d = 8, densities up to every pair
+    (so past one total_variation chunk of edges), in both constructions."""
+    out = [random_sheaf(rng, 24, 8, 24 * 23 // 2), oriented_sheaf(rng, 24, 8, 24 * 23 // 2)]
+    for _ in range(20):
+        n, d = int(rng.integers(2, 25)), int(rng.integers(1, 9))
+        e = int(rng.integers(1, n * (n - 1) // 2 + 1))
+        out.append(random_sheaf(rng, n, d, e))
+        out.append(oriented_sheaf(rng, n, d, e))
+    return out
 
 
 def graph_laplacian(node_count, edges):
@@ -77,12 +107,21 @@ class TestLaplacian:
         assert eigvals[0] >= -1e-9 * max(eigvals[-1], 1.0)
 
     def test_factorization_and_symmetry(self, rng):
-        for _ in range(20):
-            sh = random_sheaf(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)), 4)
+        # B B^T from the loop-built incidence is the oracle for the block scatter
+        sheaves = [random_sheaf(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)), 4)
+                   for _ in range(20)]
+        for sh in sheaves + larger_sheaves(rng):
             L = assemble_laplacian(sh)
             scale = np.linalg.norm(L.matrix)
             assert np.max(np.abs(L.matrix - L.incidence @ L.incidence.T)) <= 1e-12 * max(scale, 1.0)
             assert np.allclose(L.matrix, L.matrix.T, atol=1e-12 * max(scale, 1.0))
+
+    def test_edgeless_sheaf_is_zero(self, rng):
+        sh = make_sheaf(3, 2, [], [])
+        L = assemble_laplacian(sh)
+        assert np.array_equal(L.matrix, np.zeros((6, 6)))
+        assert total_variation(L, rng.standard_normal((6, 4))) == 0.0
+        assert coboundary_apply(sh, Cochain0(tuple(np.ones((2, 4)) for _ in range(3)))) == []
 
     def test_orientation_invariance(self, rng):
         edges = [(0, 1), (1, 2), (0, 3)]
@@ -107,6 +146,15 @@ class TestStructureValidation:
     def test_non_orthonormal_map_rejected(self):
         with pytest.raises(SheafStructureError):
             make_sheaf(2, 2, [(0, 1)], [(2 * np.eye(2), np.eye(2))])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_map_rejected(self, bad):
+        with pytest.raises(SheafStructureError, match="non-finite"):
+            make_sheaf(2, 2, [(0, 1)], [(np.full((2, 2), bad), np.eye(2))])
+        one_entry = np.eye(2)
+        one_entry[1, 0] = bad
+        with pytest.raises(SheafStructureError, match="non-finite"):
+            make_sheaf(2, 2, [(0, 1)], [(np.eye(2), one_entry)])
 
 
 class TestCoboundary:
@@ -169,6 +217,19 @@ class TestTotalVariation:
             tv = total_variation(L, X)
             assert abs(tv - oracle) <= 1e-9 * max(1.0, oracle)
             assert tv >= 0.0
+
+    def test_edgewise_matches_incidence(self, rng):
+        # dense B^T X oracle for the chunked edge-wise sum and the coboundary
+        for sh in larger_sheaves(rng):
+            L = assemble_laplacian(sh)
+            X = rng.standard_normal((L.dim, int(rng.integers(1, 7))))
+            BtX = L.incidence.T @ X
+            oracle = np.sum(BtX ** 2)
+            assert abs(total_variation(L, X) - oracle) <= 1e-12 * oracle
+            d = sh.ambient_dim
+            x = Cochain0(tuple(X[u * d:(u + 1) * d] for u in range(sh.node_count)))
+            cob = np.concatenate(coboundary_apply(sh, x))
+            assert np.max(np.abs(cob + BtX)) <= 1e-12 * max(np.max(np.abs(BtX)), 1.0)
 
 
 class TestGlobalSectionDim:

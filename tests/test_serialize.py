@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
+import pytest
 
 from sheaflearn import (
     DenoiseConfig,
+    SheafStructureError,
     SynthConfig,
     code_dataset,
     enumerate_candidates,
@@ -42,6 +46,16 @@ def test_sheaf_json_roundtrip(tmp_path, rng):
     for (fu, fv), (gu, gv) in zip(sheaf.maps, loaded.maps):
         assert np.array_equal(fu.matrix, gu.matrix)
         assert np.array_equal(fv.matrix, gv.matrix)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_sheaf_json_rejected(tmp_path, rng, bad):
+    save_sheaf(random_sheaf(rng, 3, 2, 2), tmp_path / "sheaf.json")
+    doc = json.loads((tmp_path / "sheaf.json").read_text())
+    doc["edges"][1]["F_head"][2] = bad
+    (tmp_path / "sheaf.json").write_text(json.dumps(doc))
+    with pytest.raises(SheafStructureError, match="non-finite"):
+        load_sheaf(tmp_path / "sheaf.json")
 
 
 def test_dataset_roundtrip(tmp_path):
