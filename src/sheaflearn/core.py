@@ -2,28 +2,36 @@
 and the spectral quantities derived from them.
 
 A sheaf here assigns the ambient space R^d to every node and edge, and one
-orthonormal d x d restriction map per (node, edge) incidence. The Laplacian
-is assembled densely from its block formula (Hansen & Ghrist 2019): diagonal
-block u is the sum of F^T F over the edges at u, and each edge (u, v) adds
-the off-diagonal block -F_u^T F_v and its transpose. Total variation and the
-coboundary are computed edge by edge from the same maps. The (V*d) x (E*d)
-incidence matrix is built only when something reads it. At V*d = 4096 and
-E = 1089 (V = d = 64), L takes about 134 MB where the incidence would take
-about 2.2 GB; target scale is V*d up to a few thousand.
+orthonormal d x d restriction map per (node, edge) incidence. Total variation
+and the coboundary are computed edge by edge from the maps. The global
+section count dim H^0 = dim ker L is found by transporting a root value along
+a spanning tree of each component and testing it on the remaining (cycle)
+edges, one d x d eigenproblem per component: O(E d^3) work where a dense
+eigensolve of L costs O((V d)^3). Neither of these forms L.
+
+The dense Laplacian is assembled from its block formula (Hansen & Ghrist
+2019) only when ``SheafLaplacian.matrix`` is read: diagonal block u is the
+sum of F^T F over the edges at u, and each edge (u, v) adds the off-diagonal
+block -F_u^T F_v and its transpose. The (V*d) x (E*d) incidence matrix is
+likewise built only when read. At V*d = 4096 and E = 1089 (V = d = 64), L
+takes about 134 MB and the incidence would take about 2.2 GB; target scale
+is V*d up to a few thousand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 # Orthonormality tolerance for restriction maps.
 ORTHO_TOL = 1e-9
 
-# Edges per batch in total_variation: bounds its residual buffer at
-# TV_CHUNK_EDGES x d x N values, whatever the edge count.
-TV_CHUNK_EDGES = 128
+# Edges per batch in total_variation and global_section_dim: bounds their
+# per-edge buffers at EDGE_CHUNK x d x N (residuals) and EDGE_CHUNK x d x d
+# (cycle constraints) values, whatever the edge count.
+EDGE_CHUNK = 128
 
 
 class SheafStructureError(ValueError):
@@ -186,6 +194,9 @@ class Cochain0:
         n = blocks[0].shape[1]
         if any(b.shape[1] != n for b in blocks):
             raise SheafStructureError("all blocks must share the snapshot count")
+        for u, b in enumerate(blocks):
+            if not np.all(np.isfinite(b)):
+                raise SheafStructureError(f"cochain block {u} has non-finite entries")
 
     @property
     def snapshots(self) -> int:
@@ -198,20 +209,25 @@ class Cochain0:
 
 @dataclass(frozen=True)
 class SheafLaplacian:
-    """Assembled sheaf Laplacian of ``sheaf``.
+    """Sheaf Laplacian of ``sheaf``, with its dense forms built only when read.
 
     ``matrix`` is the dense symmetric positive semi-definite (V*d) x (V*d)
-    Laplacian, assembled from the block formula. ``incidence`` is the
-    (V*d) x (E*d) matrix B with matrix = B B^T; it is assembled afresh on
-    every read and never kept, since it has E/V times as many entries as L.
+    Laplacian, assembled from the block formula on first read and cached
+    (about 134 MB at V*d = 4096); ``total_variation`` and
+    ``global_section_dim`` never read it. ``incidence`` is the (V*d) x (E*d)
+    matrix B with matrix = B B^T; it is assembled afresh on every read and
+    never kept, since it has E/V times as many entries as L.
     """
 
     sheaf: Sheaf
-    matrix: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.sheaf.node_count * self.sheaf.ambient_dim
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _assemble_dense(self.sheaf)
 
     @property
     def incidence(self) -> np.ndarray:
@@ -262,6 +278,11 @@ def assemble_incidence(sheaf: Sheaf) -> np.ndarray:
 
 
 def assemble_laplacian(sheaf: Sheaf) -> SheafLaplacian:
+    """The Laplacian of ``sheaf``; its dense matrix is built on first read."""
+    return SheafLaplacian(sheaf=sheaf)
+
+
+def _assemble_dense(sheaf: Sheaf) -> np.ndarray:
     """Assemble L from its blocks: diagonal block u is the sum of F^T F over
     the edges at u; edge (u, v) puts -F_u^T F_v at (u, v) and its transpose
     at (v, u). Equals B B^T for B = ``assemble_incidence(sheaf)``."""
@@ -280,7 +301,7 @@ def assemble_laplacian(sheaf: Sheaf) -> SheafLaplacian:
     tail, head = edges[:, 0], edges[:, 1]
     blocks[tail, :, head, :] = neg_cross
     blocks[head, :, tail, :] = neg_cross.swapaxes(-1, -2)
-    return SheafLaplacian(sheaf=sheaf, matrix=L)
+    return L
 
 
 def coboundary_apply(sheaf: Sheaf, x: Cochain0) -> list[np.ndarray]:
@@ -296,23 +317,113 @@ def total_variation(L: SheafLaplacian, x) -> float:
     X = x.stacked if isinstance(x, Cochain0) else np.atleast_2d(np.asarray(x, float))
     if X.shape[0] != L.dim:
         raise SheafStructureError(f"signal has {X.shape[0]} rows, Laplacian dim is {L.dim}")
+    if not np.all(np.isfinite(X)):
+        raise SheafStructureError("signal has non-finite entries")
     sheaf = L.sheaf
     xb = X.reshape(sheaf.node_count, sheaf.ambient_dim, X.shape[1])
     edges, maps = _edge_arrays(sheaf)
     tv = 0.0
-    for start in range(0, sheaf.edge_count, TV_CHUNK_EDGES):
-        chunk = slice(start, start + TV_CHUNK_EDGES)
+    for start in range(0, sheaf.edge_count, EDGE_CHUNK):
+        chunk = slice(start, start + EDGE_CHUNK)
         r = _edge_residuals(edges[chunk], maps[chunk], xb)
         tv += float(np.vdot(r, r))
     return tv
 
 
+def _spanning_forest(node_count: int, edges: np.ndarray):
+    """Breadth-first spanning forest of the graph on ``node_count`` nodes.
+
+    Returns ``component`` (the component label of each node, labels
+    0..K-1 in order of their smallest node, which is the root), ``depth``
+    (BFS depth, 0 at the roots), ``parent_edge`` (the tree edge joining
+    each non-root node to its parent, -1 at the roots) and ``in_tree``
+    (a mask over the edges)."""
+    adjacency = [[] for _ in range(node_count)]
+    for e, (u, v) in enumerate(edges.tolist()):
+        adjacency[u].append((v, e))
+        adjacency[v].append((u, e))
+    component = np.full(node_count, -1, dtype=np.intp)
+    depth = np.zeros(node_count, dtype=np.intp)
+    parent_edge = np.full(node_count, -1, dtype=np.intp)
+    label = 0
+    for root in range(node_count):
+        if component[root] >= 0:
+            continue
+        component[root] = label
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v, e in adjacency[u]:
+                    if component[v] < 0:
+                        component[v] = label
+                        depth[v] = depth[u] + 1
+                        parent_edge[v] = e
+                        nxt.append(v)
+            frontier = nxt
+        label += 1
+    in_tree = np.zeros(len(edges), dtype=bool)
+    in_tree[parent_edge[parent_edge >= 0]] = True
+    return component, depth, parent_edge, in_tree
+
+
 def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
-    """Dimension of the global section space = dim ker L, counted as the
-    number of eigenvalues below tol * lambda_max."""
-    eigvals = np.linalg.eigvalsh(L.matrix)
-    lam_max = float(eigvals[-1]) if eigvals.size else 0.0
-    if lam_max <= 0.0:
-        # zero operator: everything is a section
-        return L.dim
-    return int(np.count_nonzero(eigvals < tol * lam_max))
+    """Dimension of the global section space H^0 = ker L, counted by
+    spanning-tree transport without forming or factoring L.
+
+    With orthonormal maps a section is fixed on each connected component by
+    its value a at the root: along a tree edge from parent p to child c,
+    F_c x_c = F_p x_p forces x_c = T_c a with T_c = F_c^T F_p T_p, T_root = I.
+    Only the non-tree (cycle) edges (u, v) then constrain a, through
+    C_e = F_u T_u - F_v T_v, and the component contributes
+    dim ker G_c, G_c = sum of C_e^T C_e over its cycle edges. A tree
+    component or an isolated node contributes d. This costs O(E d^3) plus
+    one d x d eigensolve per component with cycles, where the dense
+    eigensolve of L costs O((V d)^3).
+
+    Threshold: for a unit a, the tree-extended x (x_u = T_u a) has
+    ||x||^2 = |c| and x^T L x = a^T G_c a, so an eigenvalue mu of G_c is
+    |c| times the Rayleigh quotient in L of such a vector (and by Cauchy
+    interlacing the k-th smallest mu / |c| is at least the k-th smallest
+    eigenvalue of L on the component). The dense count takes eigenvalues of
+    L below tol * lambda_max(L); here mu / |c| is compared with
+    tol * 2 * maxdeg, maxdeg over the whole graph. With orthonormal maps,
+    diagonal block u of L is deg(u) I, so maxdeg <= lambda_max(L) <= 2 maxdeg:
+    the scale is within a factor of two of lambda_max(L) and needs no
+    eigensolve. A sheaf without edges has h0 = V d.
+
+    ``tol`` must lie in (0, 1).
+    """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
+    sheaf = L.sheaf
+    V, d = sheaf.node_count, sheaf.ambient_dim
+    edges, maps = _edge_arrays(sheaf)
+    component, depth, parent_edge, in_tree = _spanning_forest(V, edges)
+    sizes = np.bincount(component)
+
+    # Transport the identity from each root, one BFS level at a time.
+    T = np.empty((V, d, d))
+    T[depth == 0] = np.eye(d)
+    for level in range(1, int(depth.max()) + 1):
+        child = np.flatnonzero(depth == level)
+        e = parent_edge[child]
+        side = (edges[e, 1] == child).astype(np.intp)  # child's end of e
+        parent = edges[e, 1 - side]
+        T[child] = maps[e, side].swapaxes(-1, -2) @ (maps[e, 1 - side] @ T[parent])
+
+    cycle = np.flatnonzero(~in_tree)
+    G = np.zeros((len(sizes), d, d))
+    for start in range(0, len(cycle), EDGE_CHUNK):
+        idx = cycle[start:start + EDGE_CHUNK]
+        u, v = edges[idx, 0], edges[idx, 1]
+        C = maps[idx, 0] @ T[u] - maps[idx, 1] @ T[v]
+        np.add.at(G, component[u], C.swapaxes(-1, -2) @ C)
+
+    cyclic = np.flatnonzero(np.bincount(component[edges[cycle, 0]], minlength=len(sizes)))
+    h0 = d * (len(sizes) - len(cyclic))
+    if len(cyclic):
+        maxdeg = int(np.bincount(edges.ravel(), minlength=V).max())
+        mu = np.linalg.eigvalsh(G[cyclic])
+        h0 += int(np.count_nonzero(mu < (tol * 2 * maxdeg) * sizes[cyclic, None]))
+    return h0

@@ -9,11 +9,16 @@ def random_orthonormal(rng, d):
     return q
 
 
-def random_sheaf(rng, node_count, dim, edge_count):
-    """Random topology with random orthonormal maps on both sides."""
+def random_edges(rng, node_count, edge_count):
+    """``edge_count`` distinct node pairs (u < v), sorted, at most every pair."""
     pairs = [(u, v) for u in range(node_count) for v in range(u + 1, node_count)]
     idx = rng.choice(len(pairs), size=min(edge_count, len(pairs)), replace=False)
-    edges = [pairs[i] for i in sorted(idx)]
+    return [pairs[i] for i in sorted(idx)]
+
+
+def random_sheaf(rng, node_count, dim, edge_count):
+    """Random topology with random orthonormal maps on both sides."""
+    edges = random_edges(rng, node_count, edge_count)
     maps = [(random_orthonormal(rng, dim), random_orthonormal(rng, dim)) for _ in edges]
     return make_sheaf(node_count, dim, edges, maps)
 

@@ -3,18 +3,25 @@ import pytest
 
 from sheaflearn import (
     Cochain0,
+    DenoiseConfig,
     RestrictionMap,
     Sheaf,
     SheafStructureError,
+    SynthConfig,
     assemble_incidence,
     assemble_laplacian,
+    build_sheaf,
     coboundary_apply,
+    code_dataset,
     constant_sheaf,
+    enumerate_candidates,
+    generate_dataset,
     global_section_dim,
     make_sheaf,
+    select_topology,
     total_variation,
 )
-from conftest import random_orthonormal, random_sheaf
+from conftest import random_edges, random_orthonormal, random_sheaf
 
 
 def rotation(theta):
@@ -48,6 +55,49 @@ def larger_sheaves(rng):
         out.append(random_sheaf(rng, n, d, e))
         out.append(oriented_sheaf(rng, n, d, e))
     return out
+
+
+def dense_section_count(L, tol=1e-8):
+    """dim ker L from the dense eigensolve: eigenvalues below tol * lambda_max,
+    every dimension for the zero operator."""
+    eigvals = np.linalg.eigvalsh(L.matrix)
+    lam_max = float(eigvals[-1]) if eigvals.size else 0.0
+    if lam_max <= 0.0:
+        return L.dim
+    return int(np.count_nonzero(eigvals < tol * lam_max))
+
+
+def planted_sheaf(rng, node_count, dim, edges, shared):
+    """Sheaf with F_{e,u} = R_e diag(I_shared, P_{e,u}) Q_u^T for random
+    orthonormal R_e, P_{e,u}, Q_u: x_u = Q_u [a; 0] is a section for every
+    a in R^shared, so each component with a cycle has h0 = shared (generic P)
+    and each tree component h0 = dim. shared = dim is the gauge-planted case."""
+    Q = [random_orthonormal(rng, dim) for _ in range(node_count)]
+
+    def side(u, R):
+        P = np.eye(dim)
+        if shared < dim:
+            P[shared:, shared:] = random_orthonormal(rng, dim - shared)
+        return R @ P @ Q[u].T
+
+    maps = []
+    for u, v in edges:
+        R = random_orthonormal(rng, dim)
+        maps.append((side(u, R), side(v, R)))
+    return make_sheaf(node_count, dim, edges, maps)
+
+
+def random_forest(rng, node_count, tree_count):
+    """Edges of a random forest: in a random node order, each node after the
+    first ``tree_count`` joins an earlier one with probability 0.8, so there
+    are at least ``tree_count`` trees, isolated nodes counted."""
+    order = rng.permutation(node_count)
+    edges = []
+    for i in range(tree_count, node_count):
+        if rng.random() < 0.8:
+            j = int(order[rng.integers(0, i)])
+            edges.append((min(j, int(order[i])), max(j, int(order[i]))))
+    return edges
 
 
 def graph_laplacian(node_count, edges):
@@ -191,6 +241,23 @@ class TestCoboundary:
 
 
 class TestTotalVariation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_rejected(self, bad):
+        L = assemble_laplacian(constant_sheaf(2, [(0, 1)], dim=2))
+        with pytest.raises(SheafStructureError, match="non-finite"):
+            total_variation(L, np.full((4, 3), bad))
+        X = np.ones((4, 3))
+        X[2, 1] = bad
+        with pytest.raises(SheafStructureError, match="non-finite"):
+            total_variation(L, X)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cochain_rejected(self, bad):
+        with pytest.raises(SheafStructureError, match="non-finite"):
+            Cochain0((np.array([[bad]]),))
+        with pytest.raises(SheafStructureError, match="non-finite"):
+            Cochain0((np.ones((2, 2)), np.array([[1.0, bad], [0.0, 0.0]])))
+
     def test_global_section_zero(self):
         sh = constant_sheaf(3, [(0, 1), (1, 2)], dim=1)
         L = assemble_laplacian(sh)
@@ -252,3 +319,90 @@ class TestGlobalSectionDim:
     def test_edgeless_sheaf(self):
         sh = make_sheaf(3, 2, [], [])
         assert global_section_dim(assemble_laplacian(sh)) == 6
+
+    def assert_matches_eigensolve(self, sh, expected=None):
+        L = assemble_laplacian(sh)
+        count = global_section_dim(L)
+        assert "matrix" not in vars(L)
+        assert count == dense_section_count(L)
+        if expected is not None:
+            assert count == expected
+
+    def test_random_maps_match_eigensolve(self, rng):
+        for _ in range(60):
+            n, d = int(rng.integers(1, 14)), int(rng.integers(1, 6))
+            e = int(rng.integers(0, n * (n - 1) // 2 + 1))
+            self.assert_matches_eigensolve(random_sheaf(rng, n, d, e))
+
+    def test_planted_sections_match_eigensolve(self, rng):
+        for shared_of in (lambda d: d, lambda d: int(rng.integers(0, d + 1))):
+            for _ in range(40):
+                n, d = int(rng.integers(1, 14)), int(rng.integers(1, 6))
+                edges = random_edges(rng, n, int(rng.integers(0, n * (n - 1) // 2 + 1)))
+                self.assert_matches_eigensolve(planted_sheaf(rng, n, d, edges, shared_of(d)))
+
+    def test_planted_cycle_counts(self, rng):
+        # a 5-cycle with a chord: one component with cycles
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]
+        # (shared = 3 is left out: its 1-dimensional complement is a sign
+        # sheaf, which has a section whenever every cycle's sign product is +1)
+        for shared in (0, 1, 2, 4):
+            self.assert_matches_eigensolve(planted_sheaf(rng, 5, 4, edges, shared), shared)
+        # gauge-planted on two cyclic components plus an isolated node
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]
+        self.assert_matches_eigensolve(planted_sheaf(rng, 8, 3, edges, 3), 3 * 3)
+
+    def test_forests_and_isolated_nodes(self, rng):
+        for _ in range(30):
+            n, d = int(rng.integers(1, 14)), int(rng.integers(1, 6))
+            edges = random_forest(rng, n, int(rng.integers(1, n + 1)))
+            maps = [(random_orthonormal(rng, d), random_orthonormal(rng, d)) for _ in edges]
+            # a forest has V - E components and no cycle edges: each contributes d
+            self.assert_matches_eigensolve(make_sheaf(n, d, edges, maps), d * (n - len(edges)))
+        self.assert_matches_eigensolve(make_sheaf(1, 3, [], []), 3)
+        self.assert_matches_eigensolve(make_sheaf(4, 2, [], []), 8)
+
+    def test_scalar_stalks(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(2, 14))
+            edges = random_edges(rng, n, int(rng.integers(1, n * (n - 1) // 2 + 1)))
+            signs = [(np.array([[rng.choice([-1.0, 1.0])]]), np.eye(1)) for _ in edges]
+            self.assert_matches_eigensolve(make_sheaf(n, 1, edges, signs))
+            self.assert_matches_eigensolve(constant_sheaf(n, edges, dim=1))
+
+    def test_tail_above_head_orientation(self, rng):
+        for _ in range(30):
+            n, d = int(rng.integers(2, 14)), int(rng.integers(1, 6))
+            e = int(rng.integers(1, n * (n - 1) // 2 + 1))
+            sh = oriented_sheaf(rng, n, d, e)
+            assert any(u > v for u, v in sh.edges)
+            self.assert_matches_eigensolve(sh)
+
+    def test_learned_sheaf_matches_eigensolve(self):
+        data = generate_dataset(SynthConfig(node_count=8, ambient_dim=16, dims=("uniform", 2, 6),
+                                            snapshots=64, seed=0))
+        codes = code_dataset(data, DenoiseConfig(alpha=4.0))
+        cands = enumerate_candidates([(c.local_basis, c.compact_coeffs) for c in codes])
+        for e0 in (7, 12, len(cands)):
+            self.assert_matches_eigensolve(build_sheaf(select_topology(cands, e0)))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0, np.nan])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        L = assemble_laplacian(constant_sheaf(3, [(0, 1), (1, 2), (0, 2)], dim=2))
+        with pytest.raises(ValueError, match="tol"):
+            global_section_dim(L, tol=tol)
+
+
+class TestLazyDense:
+    def test_learn_path_never_builds_dense_laplacian(self, rng):
+        sh = random_sheaf(rng, 9, 4, 20)
+        L = assemble_laplacian(sh)
+        total_variation(L, rng.standard_normal((L.dim, 3)))
+        global_section_dim(L)
+        assert "matrix" not in vars(L)
+        assert L.dim == 9 * 4
+
+    def test_matrix_built_once_on_read(self, rng):
+        L = assemble_laplacian(random_sheaf(rng, 5, 3, 6))
+        assert L.matrix is L.matrix
+        assert "matrix" in vars(L)
