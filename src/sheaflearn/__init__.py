@@ -8,7 +8,6 @@ the resulting sheaf Laplacian.
 __version__ = "0.1.0"
 
 from .align import (
-    CrossCovariance,
     EdgeCandidate,
     aligned_distance,
     cross_covariance,
@@ -17,11 +16,9 @@ from .align import (
 )
 from .core import (
     Cochain0,
-    RestrictionMap,
     Sheaf,
     SheafLaplacian,
     SheafStructureError,
-    StalkSpec,
     assemble_incidence,
     assemble_laplacian,
     coboundary_apply,

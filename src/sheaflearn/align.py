@@ -23,25 +23,17 @@ DEGENERATE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
-class CrossCovariance:
-    """Empirical cross-covariance S_u S_v^T / N between coefficient streams."""
-
-    matrix: np.ndarray
-    snapshots: int
-
-
-@dataclass(frozen=True)
 class EdgeCandidate:
     """One candidate edge: optimal map, alignment cost and spectral profile.
 
     cost = ||X_u||_F^2 + ||X_v||_F^2 - 2 * sum(singular_values), the minimal
     Frobenius misfit over all orthonormal maps (identity for baseline mode).
+    ``map_u`` is the map on the u side; the v side is always the identity.
     """
 
     u: int
     v: int
     map_u: np.ndarray
-    map_v: np.ndarray
     cost: float
     singular_values: tuple[float, ...]
     rank: int
@@ -52,14 +44,13 @@ class EdgeCandidate:
         return (self.u, self.v)
 
 
-def cross_covariance(S_u: np.ndarray, S_v: np.ndarray) -> CrossCovariance:
+def cross_covariance(S_u: np.ndarray, S_v: np.ndarray) -> np.ndarray:
     """C_uv = S_u S_v^T / N for compact coefficient streams with equal N."""
     S_u = np.atleast_2d(np.asarray(S_u, float))
     S_v = np.atleast_2d(np.asarray(S_v, float))
     if S_u.shape[1] != S_v.shape[1]:
         raise ValueError(f"snapshot mismatch: {S_u.shape[1]} vs {S_v.shape[1]}")
-    n = S_u.shape[1]
-    return CrossCovariance(matrix=S_u @ S_v.T / n, snapshots=n)
+    return S_u @ S_v.T / S_u.shape[1]
 
 
 def procrustes_align(D_u, S_u, D_v, S_v, u: int = 0, v: int = 1) -> EdgeCandidate:
@@ -83,7 +74,7 @@ def procrustes_align(D_u, S_u, D_v, S_v, u: int = 0, v: int = 1) -> EdgeCandidat
     A = X_u @ X_v.T
     if np.linalg.norm(A) <= DEGENERATE_TOL * max(1.0, norms):
         return EdgeCandidate(
-            u=u, v=v, map_u=np.eye(d), map_v=np.eye(d),
+            u=u, v=v, map_u=np.eye(d),
             cost=norms, singular_values=(0.0,) * d, rank=0, degenerate=True,
         )
 
@@ -92,7 +83,7 @@ def procrustes_align(D_u, S_u, D_v, S_v, u: int = 0, v: int = 1) -> EdgeCandidat
     cost = max(0.0, norms - 2.0 * float(np.sum(sigma)))
     rank = int(np.count_nonzero(sigma > RANK_RTOL * sigma[0]))
     return EdgeCandidate(
-        u=u, v=v, map_u=F, map_v=np.eye(d),
+        u=u, v=v, map_u=F,
         cost=cost, singular_values=tuple(float(s) for s in sigma), rank=rank,
     )
 

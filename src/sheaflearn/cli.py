@@ -69,9 +69,6 @@ def cmd_generate(args) -> int:
     cfg_doc = _load_config(args.config)
     if args.seed is not None:
         cfg_doc["seed"] = args.seed
-    if "dims" in cfg_doc and isinstance(cfg_doc["dims"], list) and \
-            cfg_doc["dims"][:1] == ["uniform"]:
-        cfg_doc["dims"] = tuple(cfg_doc["dims"])
     cfg = SynthConfig(**cfg_doc)
     out = _out_dir(args)
     save_dataset(generate_dataset(cfg), out)
@@ -120,9 +117,6 @@ def cmd_sweep(args) -> int:
     for key in ("alpha_grid", "snr_grid", "e0_grid", "modes"):
         if key in cfg_doc and cfg_doc[key] is not None:
             cfg_doc[key] = tuple(cfg_doc[key])
-    if "dims" in cfg_doc and isinstance(cfg_doc["dims"], list) and \
-            cfg_doc["dims"][:1] == ["uniform"]:
-        cfg_doc["dims"] = tuple(cfg_doc["dims"])
     spec = SweepSpec(**cfg_doc)
     report = run_tv_sweep(spec, threads=args.threads)
     out = _out_dir(args)
@@ -157,13 +151,13 @@ def cmd_export(args) -> int:
     formats = args.formats.split(",")
     for fmt in formats:
         if fmt == "graphml":
-            write_graphml(sheaf.node_count, sheaf.edges, out / "sheaf.graphml")
+            write_graphml(sheaf.node_count, sheaf.edges.tolist(), out / "sheaf.graphml")
         elif fmt == "dot":
-            write_dot(sheaf.node_count, sheaf.edges, out / "sheaf.dot")
+            write_dot(sheaf.node_count, sheaf.edges.tolist(), out / "sheaf.dot")
         elif fmt == "csv":
-            for e, (fu, fv) in enumerate(sheaf.maps):
-                matrix_to_csv(fu.matrix, out / f"edge_{e:03d}_F_tail.csv")
-                matrix_to_csv(fv.matrix, out / f"edge_{e:03d}_F_head.csv")
+            for e in range(sheaf.edge_count):
+                matrix_to_csv(sheaf.maps[e, 0], out / f"edge_{e:03d}_F_tail.csv")
+                matrix_to_csv(sheaf.maps[e, 1], out / f"edge_{e:03d}_F_head.csv")
         else:
             print(f"unknown export format: {fmt}", file=sys.stderr)
             return 2

@@ -2,8 +2,11 @@
 and the spectral quantities derived from them.
 
 A sheaf here assigns the ambient space R^d to every node and edge, and one
-orthonormal d x d restriction map per (node, edge) incidence. Total variation
-and the coboundary are computed edge by edge from the maps. The global
+orthonormal d x d restriction map per (node, edge) incidence. It is stored
+as two arrays: the edges as an (E, 2) array of (tail, head) pairs and the
+maps as one (E, 2, d, d) stack with maps[e] = (F_tail, F_head), which every
+function below reads directly. Total variation and the coboundary are
+computed edge by edge from the stack. The global
 section count dim H^0 = dim ker L is found by transporting a root value along
 a spanning tree of each component and testing it on the remaining (cycle)
 edges, one d x d eigenproblem per component: O(E d^3) work where a dense
@@ -28,9 +31,10 @@ import numpy as np
 # Orthonormality tolerance for restriction maps.
 ORTHO_TOL = 1e-9
 
-# Edges per batch in total_variation and global_section_dim: bounds their
-# per-edge buffers at EDGE_CHUNK x d x N (residuals) and EDGE_CHUNK x d x d
-# (cycle constraints) values, whatever the edge count.
+# Edges (maps, in the orthonormality check) per batch in Sheaf validation,
+# total_variation and global_section_dim: bounds their buffers at
+# EDGE_CHUNK x d x N (residuals) and EDGE_CHUNK x d x d (Gram matrices, cycle
+# constraints) values, whatever the edge count.
 EDGE_CHUNK = 128
 
 
@@ -38,107 +42,100 @@ class SheafStructureError(ValueError):
     """A sheaf, cochain or map violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class StalkSpec:
-    """Stalk dimensions of a sheaf: common ambient dimension plus the
-    effective per-node subspace dimensions left after denoising.
+def _map_stack(maps, edge_count: int, d: int) -> np.ndarray:
+    """``maps`` as a C-contiguous (edge_count, 2, d, d) float array, without a
+    copy when it is one already."""
+    try:
+        maps = np.ascontiguousarray(maps, dtype=float)
+    except ValueError:
+        raise SheafStructureError("restriction maps differ in shape") from None
+    if maps.size == 0:
+        maps = maps.reshape(0, 2, d, d)
+    if maps.ndim != 4 or maps.shape[1] != 2:
+        raise SheafStructureError(f"maps have shape {maps.shape}, expected (E, 2, d, d)")
+    if len(maps) != edge_count:
+        raise SheafStructureError("one map pair required per edge")
+    if maps.shape[2] != maps.shape[3]:
+        raise SheafStructureError("restriction map must be a square matrix")
+    if maps.shape[2] != d:
+        raise SheafStructureError(
+            f"maps have shape {maps.shape[2:]}, expected ({d}, {d})"
+        )
+    return maps
 
-    Parameters
-    ----------
-    node_count : int
-        Number of nodes V.
-    ambient_dim : int
-        Common stalk dimension d used for assembly.
-    per_node_dim : tuple of int
-        Effective subspace dimension at each node; each entry <= ambient_dim.
+
+@dataclass(frozen=True, eq=False)
+class Sheaf:
+    """A cellular sheaf on a graph, held as two arrays: ``edges``, an (E, 2)
+    integer array of oriented pairs (tail, head), and ``maps``, an
+    (E, 2, d, d) float array of orthonormal restriction maps with
+    ``maps[e] = (F_tail, F_head)``. Both are stored read-only.
+
+    ``ambient_dim`` d is the common stalk dimension used for assembly;
+    ``per_node_dim[u]`` in (0, d] is the effective subspace dimension left at
+    node u after denoising. The canonical constructors orient edges
+    tail = min(u, v), but any fixed orientation is accepted: the assembled
+    Laplacian is orientation-invariant.
     """
 
     node_count: int
     ambient_dim: int
     per_node_dim: tuple[int, ...]
+    edges: np.ndarray
+    maps: np.ndarray
 
     def __post_init__(self):
-        if self.node_count <= 0 or self.ambient_dim <= 0:
+        V, d = self.node_count, self.ambient_dim
+        if V <= 0 or d <= 0:
             raise SheafStructureError("node_count and ambient_dim must be positive")
-        if len(self.per_node_dim) != self.node_count:
+        object.__setattr__(self, "per_node_dim", tuple(self.per_node_dim))
+        if len(self.per_node_dim) != V:
             raise SheafStructureError("per_node_dim length must equal node_count")
         for u, du in enumerate(self.per_node_dim):
-            if not (0 < du <= self.ambient_dim):
-                raise SheafStructureError(
-                    f"per_node_dim[{u}] = {du} outside (0, {self.ambient_dim}]"
-                )
+            if not (0 < du <= d):
+                raise SheafStructureError(f"per_node_dim[{u}] = {du} outside (0, {d}]")
 
-    @classmethod
-    def uniform(cls, node_count: int, ambient_dim: int) -> "StalkSpec":
-        return cls(node_count, ambient_dim, (ambient_dim,) * node_count)
-
-
-@dataclass(frozen=True)
-class RestrictionMap:
-    """An orthonormal linear map carrying one node's data into an edge stalk."""
-
-    matrix: np.ndarray
-    source_node: int
-    edge_id: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise SheafStructureError("restriction map must be a square matrix")
-        if not np.all(np.isfinite(m)):
-            raise SheafStructureError(
-                f"restriction map at node {self.source_node} has non-finite entries"
-            )
-        gram = m.T @ m
-        if np.max(np.abs(gram - np.eye(m.shape[0]))) > ORTHO_TOL:
-            raise SheafStructureError(
-                f"restriction map at node {self.source_node} is not orthonormal"
-            )
-
-
-@dataclass(frozen=True)
-class Sheaf:
-    """A cellular sheaf on a graph: topology plus one orthonormal map per
-    (node, edge) incidence.
-
-    ``edges[e]`` is an oriented pair (tail, head); ``maps[e]`` holds the
-    corresponding (F_tail, F_head). The canonical constructors orient edges
-    tail = min(u, v), but any fixed orientation is accepted: the assembled
-    Laplacian is orientation-invariant.
-    """
-
-    stalks: StalkSpec
-    edges: tuple[tuple[int, int], ...]
-    maps: tuple[tuple[RestrictionMap, RestrictionMap], ...]
-
-    def __post_init__(self):
-        if len(self.maps) != len(self.edges):
-            raise SheafStructureError("one map pair required per edge")
+        edges = np.array(self.edges, dtype=np.intp)
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise SheafStructureError(f"edges have shape {edges.shape}, expected (E, 2)")
+        maps = _map_stack(self.maps, len(edges), d).view()
         seen = set()
-        for e, (u, v) in enumerate(self.edges):
+        for e, (u, v) in enumerate(edges.tolist()):
             if u == v:
                 raise SheafStructureError(f"edge {e} is a self-loop")
-            if not (0 <= u < self.stalks.node_count and 0 <= v < self.stalks.node_count):
+            if not (0 <= u < V and 0 <= v < V):
                 raise SheafStructureError(f"edge {e} references an unknown node")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise SheafStructureError(f"node pair {key} appears more than once")
             seen.add(key)
-            for m in self.maps[e]:
-                if m.matrix.shape != (self.stalks.ambient_dim, self.stalks.ambient_dim):
-                    raise SheafStructureError(
-                        f"map on edge {e} has shape {m.matrix.shape}, "
-                        f"expected ({self.stalks.ambient_dim}, {self.stalks.ambient_dim})"
-                    )
 
-    @property
-    def node_count(self) -> int:
-        return self.stalks.node_count
+        # max |F^T F - I| <= ORTHO_TOL for every map, EDGE_CHUNK maps at a
+        # time (map 2e + side is maps[e, side]); a NaN or inf entry fails the
+        # comparison too.
+        flat = maps.reshape(-1, d, d)
+        eye = np.eye(d)
+        for start in range(0, len(flat), EDGE_CHUNK):
+            chunk = flat[start:start + EDGE_CHUNK]
+            gram = chunk.swapaxes(-1, -2) @ chunk
+            gram -= eye
+            err = np.abs(gram, out=gram).reshape(len(chunk), -1).max(axis=1)
+            bad = np.flatnonzero(~(err <= ORTHO_TOL))
+            if bad.size:
+                e, side = divmod(int(start + bad[0]), 2)
+                what = ("has non-finite entries" if not np.all(np.isfinite(maps[e, side]))
+                        else "is not orthonormal")
+                raise SheafStructureError(
+                    f"restriction map at node {edges[e, side]} on edge {e} {what}"
+                )
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.stalks.ambient_dim
+        # maps is a view, so a caller's own array stays writeable
+        edges.flags.writeable = False
+        maps.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "maps", maps)
 
     @property
     def edge_count(self) -> int:
@@ -154,24 +151,21 @@ def make_sheaf(
 ) -> Sheaf:
     """Build a sheaf from raw matrices, orienting each edge min -> max.
 
-    ``maps`` is a sequence of (F_u, F_v) ndarray pairs aligned with ``edges``;
-    F_u belongs to the first node of the pair as given, and the pair is swapped
-    along with the edge whenever the orientation is normalized.
+    ``maps`` is a sequence of (F_u, F_v) pairs aligned with ``edges``, or the
+    same as an (E, 2, d, d) array; F_u belongs to the first node of the pair
+    as given, and the pair is swapped along with the edge whenever the
+    orientation is normalized.
     """
     if per_node_dim is None:
         per_node_dim = (ambient_dim,) * node_count
-    stalks = StalkSpec(node_count, ambient_dim, tuple(per_node_dim))
-    oriented = []
-    wrapped = []
-    for e, ((u, v), (fu, fv)) in enumerate(zip(edges, maps)):
-        if u > v:
-            u, v = v, u
-            fu, fv = fv, fu
-        oriented.append((u, v))
-        wrapped.append(
-            (RestrictionMap(np.asarray(fu, float), u, e), RestrictionMap(np.asarray(fv, float), v, e))
-        )
-    return Sheaf(stalks, tuple(oriented), tuple(wrapped))
+    edges = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    maps = _map_stack(maps, len(edges), ambient_dim)
+    flip = edges[:, 0] > edges[:, 1]
+    if flip.any():
+        edges[flip] = edges[flip, ::-1]
+        maps = maps.copy()
+        maps[flip] = maps[flip, ::-1]
+    return Sheaf(node_count, ambient_dim, tuple(per_node_dim), edges, maps)
 
 
 def constant_sheaf(node_count: int, edges, dim: int = 1) -> Sheaf:
@@ -243,17 +237,6 @@ def _check_cochain(sheaf: Sheaf, x: Cochain0) -> None:
             raise SheafStructureError(f"cochain block {u} has {b.shape[0]} rows, expected {d}")
 
 
-def _edge_arrays(sheaf: Sheaf) -> tuple[np.ndarray, np.ndarray]:
-    """Edges as an (E, 2) array of (tail, head) and the restriction maps as
-    an (E, 2, d, d) stack with ``maps[e] = (F_tail, F_head)``."""
-    d = sheaf.ambient_dim
-    edges = np.array(sheaf.edges, dtype=np.intp).reshape(-1, 2)
-    maps = np.array(
-        [(fu.matrix, fv.matrix) for fu, fv in sheaf.maps], dtype=float
-    ).reshape(-1, 2, d, d)
-    return edges, maps
-
-
 def _edge_residuals(edges: np.ndarray, maps: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Coboundary blocks F_tail x_tail - F_head x_head, shape (E, d, N), of
     the node signals ``xb`` (V, d, N) on the given edges."""
@@ -271,9 +254,9 @@ def assemble_incidence(sheaf: Sheaf) -> np.ndarray:
     """
     d = sheaf.ambient_dim
     B = np.zeros((sheaf.node_count * d, sheaf.edge_count * d))
-    for e, ((u, v), (fu, fv)) in enumerate(zip(sheaf.edges, sheaf.maps)):
-        B[u * d:(u + 1) * d, e * d:(e + 1) * d] = -fu.matrix.T
-        B[v * d:(v + 1) * d, e * d:(e + 1) * d] = fv.matrix.T
+    for e, (u, v) in enumerate(sheaf.edges.tolist()):
+        B[u * d:(u + 1) * d, e * d:(e + 1) * d] = -sheaf.maps[e, 0].T
+        B[v * d:(v + 1) * d, e * d:(e + 1) * d] = sheaf.maps[e, 1].T
     return B
 
 
@@ -287,7 +270,7 @@ def _assemble_dense(sheaf: Sheaf) -> np.ndarray:
     the edges at u; edge (u, v) puts -F_u^T F_v at (u, v) and its transpose
     at (v, u). Equals B B^T for B = ``assemble_incidence(sheaf)``."""
     V, d = sheaf.node_count, sheaf.ambient_dim
-    edges, maps = _edge_arrays(sheaf)
+    edges, maps = sheaf.edges, sheaf.maps
     L = np.zeros((V * d, V * d))
     blocks = L.reshape(V, d, V, d)  # view: blocks[u, :, v, :] is block (u, v)
     maps_t = maps.swapaxes(-1, -2)
@@ -307,8 +290,7 @@ def _assemble_dense(sheaf: Sheaf) -> np.ndarray:
 def coboundary_apply(sheaf: Sheaf, x: Cochain0) -> list[np.ndarray]:
     """Apply the coboundary edge-wise: block e = F_tail x_tail - F_head x_head."""
     _check_cochain(sheaf, x)
-    edges, maps = _edge_arrays(sheaf)
-    return list(_edge_residuals(edges, maps, np.stack(x.blocks)))
+    return list(_edge_residuals(sheaf.edges, sheaf.maps, np.stack(x.blocks)))
 
 
 def total_variation(L: SheafLaplacian, x) -> float:
@@ -321,11 +303,10 @@ def total_variation(L: SheafLaplacian, x) -> float:
         raise SheafStructureError("signal has non-finite entries")
     sheaf = L.sheaf
     xb = X.reshape(sheaf.node_count, sheaf.ambient_dim, X.shape[1])
-    edges, maps = _edge_arrays(sheaf)
     tv = 0.0
     for start in range(0, sheaf.edge_count, EDGE_CHUNK):
         chunk = slice(start, start + EDGE_CHUNK)
-        r = _edge_residuals(edges[chunk], maps[chunk], xb)
+        r = _edge_residuals(sheaf.edges[chunk], sheaf.maps[chunk], xb)
         tv += float(np.vdot(r, r))
     return tv
 
@@ -398,7 +379,7 @@ def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     sheaf = L.sheaf
     V, d = sheaf.node_count, sheaf.ambient_dim
-    edges, maps = _edge_arrays(sheaf)
+    edges, maps = sheaf.edges, sheaf.maps
     component, depth, parent_edge, in_tree = _spanning_forest(V, edges)
     sizes = np.bincount(component)
 

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .align import EdgeCandidate, procrustes_align, unaligned_distance
-from .core import Sheaf, StalkSpec, make_sheaf
+from .core import Sheaf, make_sheaf
 
 MODES = ("aligned", "baseline")
 
@@ -83,7 +83,7 @@ def enumerate_candidates(reps, mode: str = "aligned") -> list[EdgeCandidate]:
         else:
             cost = unaligned_distance(bu, su, bv, sv)
             out.append(EdgeCandidate(
-                u=u, v=v, map_u=np.eye(d), map_v=np.eye(d),
+                u=u, v=v, map_u=np.eye(d),
                 cost=cost, singular_values=(), rank=0,
             ))
     return out
@@ -117,27 +117,20 @@ def select_topology(candidates, E0: int) -> EdgeSelection:
     )
 
 
-def build_sheaf(selection: EdgeSelection, candidates=None, stalks: StalkSpec | None = None) -> Sheaf:
+def build_sheaf(selection: EdgeSelection) -> Sheaf:
     """Assemble the learned sheaf from the winning candidates.
 
     The optimized map sits on the candidate's u side (the tail under the
-    min-first orientation); the v side keeps the identity.
+    min-first orientation); the head side of the map stack is the identity.
+    Every node gets the full ambient dimension as its stalk.
     """
-    pool = selection.costs if candidates is None else sort_candidates(candidates)
+    pool = selection.costs
     by_pair = {c.pair: c for c in pool}
     chosen = [by_pair[p] for p in selection.selected]
-    if stalks is None:
-        if chosen:
-            d = chosen[0].map_u.shape[0]
-            node_count = max(max(c.u, c.v) for c in pool) + 1
-        else:
-            d = pool[0].map_u.shape[0] if pool else 1
-            node_count = (max(max(c.u, c.v) for c in pool) + 1) if pool else 1
-        stalks = StalkSpec.uniform(node_count, d)
-    return make_sheaf(
-        stalks.node_count,
-        stalks.ambient_dim,
-        [c.pair for c in chosen],
-        [(c.map_u, c.map_v) for c in chosen],
-        per_node_dim=stalks.per_node_dim,
-    )
+    d = pool[0].map_u.shape[0] if pool else 1
+    node_count = (max(max(c.u, c.v) for c in pool) + 1) if pool else 1
+    maps = np.empty((len(chosen), 2, d, d))
+    for e, c in enumerate(chosen):
+        maps[e, 0] = c.map_u
+    maps[:, 1] = np.eye(d)
+    return make_sheaf(node_count, d, [c.pair for c in chosen], maps)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Sheaf, StalkSpec, make_sheaf
+from .core import Sheaf, make_sheaf
 from .denoise import SparseCode
 from .infer import EdgeSelection
 from .synth import Dataset, NodeData
@@ -51,15 +51,12 @@ def sheaf_to_dict(sheaf: Sheaf) -> dict:
     return {
         "nodes": sheaf.node_count,
         "ambient_dim": sheaf.ambient_dim,
-        "per_node_dim": list(sheaf.stalks.per_node_dim),
+        "per_node_dim": list(sheaf.per_node_dim),
         "edges": [
-            {
-                "tail": u,
-                "head": v,
-                "F_tail": [float(x) for x in fu.matrix.ravel()],
-                "F_head": [float(x) for x in fv.matrix.ravel()],
-            }
-            for (u, v), (fu, fv) in zip(sheaf.edges, sheaf.maps)
+            {"tail": u, "head": v, "F_tail": f_tail, "F_head": f_head}
+            for (u, v), (f_tail, f_head) in zip(
+                sheaf.edges.tolist(), sheaf.maps.reshape(sheaf.edge_count, 2, -1).tolist()
+            )
         ],
     }
 
@@ -67,10 +64,8 @@ def sheaf_to_dict(sheaf: Sheaf) -> dict:
 def sheaf_from_dict(doc: dict) -> Sheaf:
     d = doc["ambient_dim"]
     edges = [(e["tail"], e["head"]) for e in doc["edges"]]
-    maps = [
-        (np.array(e["F_tail"]).reshape(d, d), np.array(e["F_head"]).reshape(d, d))
-        for e in doc["edges"]
-    ]
+    maps = np.array([(e["F_tail"], e["F_head"]) for e in doc["edges"]], dtype=float)
+    maps = maps.reshape(len(edges), 2, d, d)
     return make_sheaf(doc["nodes"], d, edges, maps, per_node_dim=doc["per_node_dim"])
 
 

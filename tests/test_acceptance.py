@@ -124,8 +124,8 @@ def test_criterion_4_laplacian_algebra():
             X = rng.standard_normal((v * d, 4))
             blocks = [X[u * d:(u + 1) * d] for u in range(v)]
             edge_sum = sum(
-                float(np.sum((fu.matrix @ blocks[u] - fv.matrix @ blocks[w]) ** 2))
-                for (u, w), (fu, fv) in zip(sheaf.edges, sheaf.maps)
+                float(np.sum((sheaf.maps[e, 0] @ blocks[u] - sheaf.maps[e, 1] @ blocks[w]) ** 2))
+                for e, (u, w) in enumerate(sheaf.edges)
             )
             assert abs(total_variation(L, X) - edge_sum) <= 1e-9 * max(1.0, edge_sum)
 
@@ -139,7 +139,7 @@ def test_criterion_5_greedy_exactness():
                 seed += 1
                 pairs = list(combinations(range(v), 2))
                 cands = [
-                    EdgeCandidate(u=u, v=w, map_u=np.eye(1), map_v=np.eye(1),
+                    EdgeCandidate(u=u, v=w, map_u=np.eye(1),
                                   cost=float(c), singular_values=(), rank=0)
                     for (u, w), c in zip(pairs, rng.random(len(pairs)) * 10)
                 ]

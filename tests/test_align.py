@@ -19,18 +19,18 @@ class TestCrossCovariance:
     def test_single_snapshot_outer_product(self):
         e1 = np.array([[1.0], [0.0]])
         C = cross_covariance(e1, e1)
-        assert np.array_equal(C.matrix, np.array([[1.0, 0.0], [0.0, 0.0]]))
+        assert np.array_equal(C, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_independent_streams_concentrate(self, rng):
         n = 10_000
         C = cross_covariance(rng.standard_normal((3, n)), rng.standard_normal((4, n)))
-        assert np.max(np.abs(C.matrix)) <= 5.0 / np.sqrt(n)
+        assert np.max(np.abs(C)) <= 5.0 / np.sqrt(n)
 
     def test_linear_dependence(self, rng):
         S = rng.standard_normal((3, 20))
         C = cross_covariance(S, 2.5 * S)
-        assert np.allclose(C.matrix, 2.5 * S @ S.T / 20)
-        assert np.linalg.matrix_rank(C.matrix) <= 3
+        assert np.allclose(C, 2.5 * S @ S.T / 20)
+        assert np.linalg.matrix_rank(C) <= 3
 
     def test_snapshot_mismatch(self, rng):
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ import pytest
 from sheaflearn import (
     Cochain0,
     DenoiseConfig,
-    RestrictionMap,
     Sheaf,
     SheafStructureError,
     SynthConfig,
@@ -36,13 +35,10 @@ def oriented_sheaf(rng, node_count, dim, edge_count):
     base = random_sheaf(rng, node_count, dim, edge_count)
     flip = rng.random(base.edge_count) < 0.5
     flip[:1] = True
-    edges, maps = [], []
-    for e, ((u, v), (fu, fv)) in enumerate(zip(base.edges, base.maps)):
-        if flip[e]:
-            u, v, fu, fv = v, u, fv, fu
-        edges.append((u, v))
-        maps.append((RestrictionMap(fu.matrix, u, e), RestrictionMap(fv.matrix, v, e)))
-    return Sheaf(base.stalks, tuple(edges), tuple(maps))
+    edges, maps = base.edges.copy(), base.maps.copy()
+    edges[flip] = edges[flip, ::-1]
+    maps[flip] = maps[flip, ::-1]
+    return Sheaf(base.node_count, base.ambient_dim, base.per_node_dim, edges, maps)
 
 
 def larger_sheaves(rng):
@@ -207,6 +203,95 @@ class TestStructureValidation:
             make_sheaf(2, 2, [(0, 1)], [(np.eye(2), one_entry)])
 
 
+class TestArrayValidation:
+    """Sheaf(...) built straight from an edge array and a map stack."""
+
+    @staticmethod
+    def arrays(node_count, dim):
+        edges = np.array([(u, v) for u in range(node_count) for v in range(u + 1, node_count)])
+        maps = np.broadcast_to(np.eye(dim), (len(edges), 2, dim, dim)).copy()
+        return edges, maps
+
+    def build(self, node_count, dim, edges, maps):
+        return Sheaf(node_count, dim, (dim,) * node_count, edges, maps)
+
+    def test_valid_arrays_stored_read_only(self):
+        edges, maps = self.arrays(4, 3)
+        sh = self.build(4, 3, edges, maps)
+        assert sh.edges.shape == (6, 2) and sh.maps.shape == (6, 2, 3, 3)
+        assert not sh.edges.flags.writeable and not sh.maps.flags.writeable
+        assert maps.flags.writeable  # the caller's array is left alone
+
+    def test_length_mismatch(self):
+        edges, maps = self.arrays(4, 3)
+        with pytest.raises(SheafStructureError, match="one map pair"):
+            self.build(4, 3, edges, maps[:-1])
+        with pytest.raises(SheafStructureError, match="one map pair"):
+            self.build(4, 3, edges[:-1], maps)
+
+    def test_non_square_map(self):
+        edges, _ = self.arrays(3, 2)
+        with pytest.raises(SheafStructureError, match="square"):
+            self.build(3, 2, edges, np.zeros((3, 2, 2, 3)))
+
+    def test_wrong_map_shape(self):
+        edges, maps = self.arrays(3, 2)
+        with pytest.raises(SheafStructureError, match="expected"):
+            self.build(3, 3, edges, maps)
+        with pytest.raises(SheafStructureError, match="expected"):
+            self.build(3, 2, edges, maps[:, :1])
+        with pytest.raises(SheafStructureError, match="expected"):
+            self.build(3, 2, edges[:, :1], maps)
+
+    def test_ragged_pairs(self):
+        with pytest.raises(SheafStructureError, match="shape"):
+            make_sheaf(2, 2, [(0, 1)], [(np.eye(2), np.eye(3))])
+
+    @pytest.mark.parametrize("bad_edge", [(0, 4), (-1, 2), (5, 1)])
+    def test_out_of_range_node(self, bad_edge):
+        edges, maps = self.arrays(4, 2)
+        edges[3] = bad_edge
+        with pytest.raises(SheafStructureError, match="edge 3 references an unknown node"):
+            self.build(4, 2, edges, maps)
+
+    def test_self_loop_and_duplicate(self):
+        edges, maps = self.arrays(4, 2)
+        edges[2] = (3, 3)
+        with pytest.raises(SheafStructureError, match="edge 2 is a self-loop"):
+            self.build(4, 2, edges, maps)
+        edges[2] = (1, 0)
+        with pytest.raises(SheafStructureError, match=r"\(0, 1\) appears more than once"):
+            self.build(4, 2, edges, maps)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad", ["scaled", "nan", "inf", "tilted"])
+    def test_bad_map_past_first_chunk_named(self, rng, side, bad):
+        # the complete graph on 24 nodes has 276 edges: edge 200 is in the
+        # second EDGE_CHUNK slice of the batched check
+        edges, _ = self.arrays(24, 3)
+        assert len(edges) == 276
+        maps = np.stack([random_orthonormal(rng, 3) for _ in range(2 * 276)]).reshape(276, 2, 3, 3)
+        self.build(24, 3, edges, maps)
+        F = maps[200, side]
+        if bad == "scaled":
+            F *= 1 + 1e-6
+        elif bad == "tilted":
+            F[0, 1] += 1e-8  # error 1e-8 > ORTHO_TOL = 1e-9
+        else:
+            F[1, 2] = np.nan if bad == "nan" else np.inf
+        what = "is not orthonormal" if bad in ("scaled", "tilted") else "has non-finite entries"
+        node = edges[200, side]
+        with pytest.raises(SheafStructureError,
+                           match=f"map at node {node} on edge 200 {what}"):
+            self.build(24, 3, edges, maps)
+
+    def test_make_sheaf_orients_min_to_max(self, rng):
+        F, G = random_orthonormal(rng, 2), random_orthonormal(rng, 2)
+        sh = make_sheaf(3, 2, [(0, 1), (2, 1)], [(np.eye(2), np.eye(2)), (F, G)])
+        assert sh.edges.tolist() == [[0, 1], [1, 2]]
+        assert np.array_equal(sh.maps[1, 0], G) and np.array_equal(sh.maps[1, 1], F)
+
+
 class TestCoboundary:
     def test_global_section_maps_to_zero(self):
         sh = constant_sheaf(2, [(0, 1)], dim=2)
@@ -278,8 +363,8 @@ class TestTotalVariation:
             X = rng.standard_normal((n * d, 5))
             blocks = [X[u * d:(u + 1) * d] for u in range(n)]
             oracle = sum(
-                np.sum((fu.matrix @ blocks[u] - fv.matrix @ blocks[v]) ** 2)
-                for (u, v), (fu, fv) in zip(sh.edges, sh.maps)
+                np.sum((sh.maps[e, 0] @ blocks[u] - sh.maps[e, 1] @ blocks[v]) ** 2)
+                for e, (u, v) in enumerate(sh.edges)
             )
             tv = total_variation(L, X)
             assert abs(tv - oracle) <= 1e-9 * max(1.0, oracle)

@@ -5,7 +5,6 @@ import pytest
 
 from sheaflearn import (
     Cochain0,
-    StalkSpec,
     assemble_laplacian,
     build_sheaf,
     enumerate_candidates,
@@ -24,7 +23,7 @@ def random_reps(rng, node_count, d, n=8):
 
 def fake_candidates(costs_by_pair, d=1):
     return [
-        EdgeCandidate(u=u, v=v, map_u=np.eye(d), map_v=np.eye(d),
+        EdgeCandidate(u=u, v=v, map_u=np.eye(d),
                       cost=c, singular_values=(), rank=0)
         for (u, v), c in costs_by_pair.items()
     ]
@@ -139,9 +138,9 @@ class TestBuildSheaf:
         reps = random_reps(rng, 4, 3)
         cands = enumerate_candidates(reps, mode="baseline")
         sheaf = build_sheaf(select_topology(cands, 3))
-        for fu, fv in sheaf.maps:
-            assert np.array_equal(fu.matrix, np.eye(3))
-            assert np.array_equal(fv.matrix, np.eye(3))
+        for e in range(sheaf.edge_count):
+            assert np.array_equal(sheaf.maps[e, 0], np.eye(3))
+            assert np.array_equal(sheaf.maps[e, 1], np.eye(3))
 
     def test_rotated_pair_yields_zero_tv(self, rng):
         Q = random_orthonormal(rng, 3)
@@ -159,7 +158,7 @@ class TestBuildSheaf:
         cands = enumerate_candidates(reps, mode="aligned")
         for e0 in (0, 4, 9, 15):
             sel = select_topology(cands, e0)
-            sheaf = build_sheaf(sel, stalks=StalkSpec.uniform(6, 3))
+            sheaf = build_sheaf(sel)
             L = assemble_laplacian(sheaf)
             x = Cochain0(tuple(b @ s for b, s in reps))
             tv = total_variation(L, x)

@@ -41,11 +41,12 @@ def test_sheaf_json_roundtrip(tmp_path, rng):
     sheaf = random_sheaf(rng, 5, 3, 6)
     save_sheaf(sheaf, tmp_path / "sheaf.json")
     loaded = load_sheaf(tmp_path / "sheaf.json")
-    assert loaded.edges == sheaf.edges
-    assert loaded.stalks == sheaf.stalks
-    for (fu, fv), (gu, gv) in zip(sheaf.maps, loaded.maps):
-        assert np.array_equal(fu.matrix, gu.matrix)
-        assert np.array_equal(fv.matrix, gv.matrix)
+    assert np.array_equal(loaded.edges, sheaf.edges)
+    assert (loaded.node_count, loaded.ambient_dim, loaded.per_node_dim) == \
+        (sheaf.node_count, sheaf.ambient_dim, sheaf.per_node_dim)
+    for e in range(sheaf.edge_count):
+        assert np.array_equal(loaded.maps[e, 0], sheaf.maps[e, 0])
+        assert np.array_equal(loaded.maps[e, 1], sheaf.maps[e, 1])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -62,6 +62,13 @@ def test_dims_sampler_spec():
     ds = generate_dataset(cfg)
     for node in ds.nodes:
         assert 2 <= len(node.support) <= 6
+    # the list form a JSON config yields (the CLI passes it through as is)
+    listed = generate_dataset(SynthConfig(node_count=10, ambient_dim=16, dims=["uniform", 2, 6],
+                                          snapshots=4, seed=9))
+    assert listed.params == ds.params
+    for a, b in zip(ds.nodes, listed.nodes):
+        assert a.support == b.support
+        assert np.array_equal(a.observations, b.observations)
 
 
 def test_dims_validation():
