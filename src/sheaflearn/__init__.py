@@ -1,8 +1,9 @@
 """sheaflearn: learning cellular sheaves on graphs from node-observed data.
 
-Pipeline: block-sparse denoising per node, closed-form orthonormal alignment
-per node pair, greedy minimum-total-variation edge selection, and assembly of
-the resulting sheaf Laplacian.
+Pipeline: block-sparse denoising per node, a closed-form alignment cost for
+every node pair, greedy minimum-total-variation edge selection, orthonormal
+restriction maps solved for the selected edges, and assembly of the
+resulting sheaf Laplacian.
 """
 
 __version__ = "0.1.0"

@@ -6,11 +6,15 @@ U Sigma V^T is the SVD of X_u X_v^T, and the achieved cost is
 ||X_u||_F^2 + ||X_v||_F^2 - 2 * sum(Sigma). The optimized map sits on the
 u side; the v side keeps the identity (the pair is only determined up to a
 common rotation).
+
+Selection reads only the cost, so ``infer.enumerate_candidates`` scores every
+pair without forming a map (QR-reduced Gram blocks, batched singular values)
+and ``procrustes_align`` runs only for the edges that are kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,20 +28,24 @@ DEGENERATE_TOL = 1e-14
 
 @dataclass(frozen=True)
 class EdgeCandidate:
-    """One candidate edge: optimal map, alignment cost and spectral profile.
+    """One candidate edge: alignment cost and spectral profile, no map.
 
     cost = ||X_u||_F^2 + ||X_v||_F^2 - 2 * sum(singular_values), the minimal
     Frobenius misfit over all orthonormal maps (identity for baseline mode).
-    ``map_u`` is the map on the u side; the v side is always the identity.
+    ``source`` is ``(mode, reps)``: the scoring mode and the node
+    representations the candidate was scored from, one tuple shared by every
+    candidate of an ``enumerate_candidates`` call. ``infer.build_sheaf``
+    solves the map from it for the edges that are kept; candidates made
+    elsewhere carry ``None``.
     """
 
     u: int
     v: int
-    map_u: np.ndarray
     cost: float
     singular_values: tuple[float, ...]
     rank: int
     degenerate: bool = False
+    source: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -53,8 +61,9 @@ def cross_covariance(S_u: np.ndarray, S_v: np.ndarray) -> np.ndarray:
     return S_u @ S_v.T / S_u.shape[1]
 
 
-def procrustes_align(D_u, S_u, D_v, S_v, u: int = 0, v: int = 1) -> EdgeCandidate:
-    """Solve the local edge problem in closed form.
+def procrustes_align(D_u, S_u, D_v, S_v, u: int = 0,
+                     v: int = 1) -> tuple[np.ndarray, EdgeCandidate]:
+    """Solve the local edge problem in closed form; return ``(F, candidate)``.
 
     The cross product A = D_u S_u S_v^T D_v^T is decomposed as U Sigma V^T
     (full SVD, fixing the null-space pairing deterministically) and the
@@ -73,25 +82,23 @@ def procrustes_align(D_u, S_u, D_v, S_v, u: int = 0, v: int = 1) -> EdgeCandidat
 
     A = X_u @ X_v.T
     if np.linalg.norm(A) <= DEGENERATE_TOL * max(1.0, norms):
-        return EdgeCandidate(
-            u=u, v=v, map_u=np.eye(d),
-            cost=norms, singular_values=(0.0,) * d, rank=0, degenerate=True,
+        return np.eye(d), EdgeCandidate(
+            u=u, v=v, cost=norms, singular_values=(0.0,) * d, rank=0, degenerate=True,
         )
 
     U, sigma, Vt = np.linalg.svd(A)
     F = Vt.T @ U.T
     cost = max(0.0, norms - 2.0 * float(np.sum(sigma)))
     rank = int(np.count_nonzero(sigma > RANK_RTOL * sigma[0]))
-    return EdgeCandidate(
-        u=u, v=v, map_u=F,
-        cost=cost, singular_values=tuple(float(s) for s in sigma), rank=rank,
+    return F, EdgeCandidate(
+        u=u, v=v, cost=cost, singular_values=tuple(float(s) for s in sigma), rank=rank,
     )
 
 
 def aligned_distance(D_u, S_u, D_v, S_v) -> float:
     """Minimal misfit after optimal alignment; depends on the coefficient
     cross-covariance and the subspace dimensions, not on the basis structure."""
-    return procrustes_align(D_u, S_u, D_v, S_v).cost
+    return procrustes_align(D_u, S_u, D_v, S_v)[1].cost
 
 
 def unaligned_distance(D_u, S_u, D_v, S_v) -> float:

@@ -95,20 +95,12 @@ def _tv_prefix(candidates) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(costs)])
 
 
-def _sweep_point(spec: SweepSpec, alpha: float, snr_db: float, data_seed: int,
-                 labels=None) -> list[ReportRow]:
+def _sweep_point(spec: SweepSpec, alpha: float, snr_db: float, dataset) -> list[ReportRow]:
+    """Denoise ``dataset`` (shared by every alpha at this SNR, read only)
+    at ``alpha`` and tabulate TV(E0) per mode."""
     t0 = time.perf_counter()
-    dataset = generate_dataset(SynthConfig(
-        node_count=spec.node_count,
-        ambient_dim=spec.ambient_dim,
-        dims=spec.dims,
-        snapshots=spec.snapshots,
-        rho=spec.rho,
-        snr_db=snr_db,
-        seed=data_seed,
-    ))
-    codes = code_dataset(dataset, DenoiseConfig(alpha=alpha))
-    reps = reps_from_codes(codes)
+    # only the compact forms are read: the full coefficients are dropped here
+    reps = reps_from_codes(code_dataset(dataset, DenoiseConfig(alpha=alpha)))
 
     per_mode = {}
     for mode in spec.modes:
@@ -141,20 +133,34 @@ def run_tv_sweep(spec: SweepSpec, threads: int = 1) -> RunReport:
     TV(E0) per mode. Grid points are independent and may run concurrently."""
     data_seeds = [int(s) for s in np.random.SeedSequence(spec.seed).generate_state(
         len(spec.snr_grid), dtype=np.uint64) >> 1]
-    points = [
-        (alpha, snr, data_seeds[i])
-        for i, snr in enumerate(spec.snr_grid)
+    # the data depends on (snr, seed) only: one dataset per SNR, read by every
+    # alpha, generated as the points reach it (all at once when threaded)
+    datasets = (
+        generate_dataset(SynthConfig(
+            node_count=spec.node_count,
+            ambient_dim=spec.ambient_dim,
+            dims=spec.dims,
+            snapshots=spec.snapshots,
+            rho=spec.rho,
+            snr_db=snr,
+            seed=seed,
+        ))
+        for snr, seed in zip(spec.snr_grid, data_seeds)
+    )
+    points = (
+        (alpha, snr, dataset)
+        for snr, dataset in zip(spec.snr_grid, datasets)
         for alpha in spec.alpha_grid
-    ]
+    )
     report = RunReport()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_sweep_point, spec, a, s, ds) for a, s, ds in points]
+            futures = [pool.submit(_sweep_point, spec, a, s, data) for a, s, data in points]
             for f in futures:
                 report.rows.extend(f.result())
     else:
-        for a, s, ds in points:
-            report.rows.extend(_sweep_point(spec, a, s, ds))
+        for a, s, data in points:
+            report.rows.extend(_sweep_point(spec, a, s, data))
     report.rows = report.sorted_rows()
     return report
 
@@ -169,8 +175,8 @@ def run_cluster_experiment(seed: int, alpha: float = 8.0, snapshots: int = 512,
     t0 = time.perf_counter()
     dataset = generate_cluster_scenario(seed, snapshots=snapshots, rho=rho, snr_db=snr_db)
     labels = dataset.cluster_labels
-    codes = code_dataset(dataset, DenoiseConfig(alpha=alpha))
-    reps = reps_from_codes(codes)
+    # only the compact forms are read: the full coefficients are dropped here
+    reps = reps_from_codes(code_dataset(dataset, DenoiseConfig(alpha=alpha)))
 
     report = RunReport()
     graphs = {}
@@ -178,13 +184,10 @@ def run_cluster_experiment(seed: int, alpha: float = 8.0, snapshots: int = 512,
         cands = enumerate_candidates(reps, mode=mode)
         conn = min_edges_for_connectivity(cands)
         selection = select_topology(cands, conn)
-        tv = float(sum(
-            {c.pair: c.cost for c in selection.costs}[p] for p in selection.selected
-        ))
         wall_ms = (time.perf_counter() - t0) * 1000.0
         report.rows.append(ReportRow(
             mode=mode, alpha=alpha, snr_db=snr_db, e0=conn,
-            total_variation=tv,
+            total_variation=selection.total_cost,
             intra_cluster_fraction=intra_cluster_fraction(selection.selected, labels),
             connect_min=conn, wall_ms=wall_ms,
         ))

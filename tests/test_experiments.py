@@ -66,6 +66,24 @@ def test_threaded_matches_serial(small_report):
     assert stable(threaded.sorted_rows()) == stable(small_report.sorted_rows())
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_dataset_per_snr(small_report, monkeypatch, threads):
+    import sheaflearn.experiments as experiments
+
+    calls = []
+    original = experiments.generate_dataset
+
+    def counted(cfg):
+        calls.append(cfg.snr_db)
+        return original(cfg)
+
+    monkeypatch.setattr(experiments, "generate_dataset", counted)
+    report = run_tv_sweep(SMALL, threads=threads)
+    assert calls == list(SMALL.snr_grid)
+    assert [(r.mode, r.alpha, r.snr_db, r.e0, r.total_variation) for r in report.rows] == \
+        [(r.mode, r.alpha, r.snr_db, r.e0, r.total_variation) for r in small_report.rows]
+
+
 def test_report_csv_deterministic(small_report, tmp_path):
     small_report.to_csv(tmp_path / "a.csv")
     small_report.to_csv(tmp_path / "b.csv")

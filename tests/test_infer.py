@@ -12,7 +12,8 @@ from sheaflearn import (
     select_topology,
     total_variation,
 )
-from sheaflearn.align import EdgeCandidate
+import sheaflearn.infer as infer
+from sheaflearn.align import EdgeCandidate, procrustes_align, unaligned_distance
 from sheaflearn.infer import sort_candidates
 from conftest import random_orthonormal
 
@@ -21,10 +22,28 @@ def random_reps(rng, node_count, d, n=8):
     return [(np.eye(d), rng.standard_normal((d, n))) for _ in range(node_count)]
 
 
-def fake_candidates(costs_by_pair, d=1):
+def mixed_reps(rng, d=6, n=9):
+    """19 nodes (171 pairs) with orthonormal, overcomplete non-orthonormal
+    (d_u > d), rank-deficient and full-width bases, and one all-zero
+    coefficient node (node 4)."""
+    widths = [2, 9, 6, 3, 5, 11, 1, 4, 7, 6, 2, 8, 3, 10, 5, 6, 1, 4, 12]
+    reps = []
+    for node, du in enumerate(widths):
+        kind = node % 3
+        if kind == 0 and du <= d:
+            D = random_orthonormal(rng, d)[:, :du]
+        elif kind == 2 and du > 1:
+            D = rng.standard_normal((d, 1)) @ rng.standard_normal((1, du))
+        else:
+            D = rng.standard_normal((d, du))
+        S = np.zeros((du, n)) if node == 4 else rng.standard_normal((du, n))
+        reps.append((D, S))
+    return reps
+
+
+def fake_candidates(costs_by_pair):
     return [
-        EdgeCandidate(u=u, v=v, map_u=np.eye(d),
-                      cost=c, singular_values=(), rank=0)
+        EdgeCandidate(u=u, v=v, cost=c, singular_values=(), rank=0)
         for (u, v), c in costs_by_pair.items()
     ]
 
@@ -172,3 +191,140 @@ class TestBuildSheaf:
             tv_al = sum(c.cost for c in al[:e0])
             tv_ba = sum(c.cost for c in ba[:e0])
             assert tv_al <= tv_ba + 1e-9
+
+
+class TestScoringMatchesProcrustes:
+    """The batched Gram-block scores against one full Procrustes solve per pair."""
+
+    def assert_matches(self, cands, reps):
+        d = reps[0][0].shape[0]
+        assert [c.pair for c in cands] == list(combinations(range(len(reps)), 2))
+        for c in cands:
+            (Du, Su), (Dv, Sv) = reps[c.u], reps[c.v]
+            _, ref = procrustes_align(Du, Su, Dv, Sv)
+            norms = np.sum((Du @ Su) ** 2) + np.sum((Dv @ Sv) ** 2)
+            assert abs(c.cost - ref.cost) <= 1e-12 * max(1.0, norms)
+            assert (c.rank, c.degenerate) == (ref.rank, ref.degenerate)
+            assert len(c.singular_values) == d
+            m = min(d, Du.shape[1], Dv.shape[1])
+            sigma, ref_sigma = np.array(c.singular_values), np.array(ref.singular_values)
+            assert np.all(np.abs(sigma[:m] - ref_sigma[:m]) <= 1e-12 * ref_sigma[0])
+            assert np.all(sigma[m:] == 0.0)
+
+    def test_mixed_bases(self, rng):
+        reps = mixed_reps(rng)
+        cands = enumerate_candidates(reps)
+        self.assert_matches(cands, reps)
+        assert any(c.degenerate for c in cands)
+        assert all(c.degenerate == (4 in c.pair) for c in cands)
+
+    def test_rows_split_into_several_slices(self, rng, monkeypatch):
+        # rows of up to 18 pairs cut into slices of 4, one of them partial
+        monkeypatch.setattr(infer, "EDGE_CHUNK", 4)
+        reps = mixed_reps(rng)
+        self.assert_matches(enumerate_candidates(reps), reps)
+
+    def test_empty_support_node_is_degenerate(self, rng):
+        reps = random_reps(rng, 4, 3)
+        reps[1] = (np.zeros((3, 0)), np.zeros((0, 8)))
+        cands = enumerate_candidates(reps)
+        self.assert_matches(cands, reps)
+        assert [c.pair for c in cands if c.degenerate] == [(0, 1), (1, 2), (1, 3)]
+
+    def test_symmetric_in_u_and_v(self, rng):
+        reps = mixed_reps(rng)
+        forward = {c.pair: c for c in enumerate_candidates(reps)}
+        V = len(reps)
+        backward = enumerate_candidates(reps[::-1])
+        for c in backward:
+            f = forward[(V - 1 - c.v, V - 1 - c.u)]
+            assert abs(c.cost - f.cost) <= 1e-12 * max(1.0, f.cost, c.cost)
+            assert np.allclose(c.singular_values, f.singular_values,
+                               rtol=0.0, atol=1e-12 * max(f.singular_values[0], 1e-300))
+
+    def test_invariant_under_common_rotation(self, rng):
+        reps = mixed_reps(rng)
+        Q = random_orthonormal(rng, reps[0][0].shape[0])
+        plain = enumerate_candidates(reps)
+        turned = enumerate_candidates([(Q @ D, S) for D, S in reps])
+        for a, b in zip(plain, turned):
+            norms = np.sum((reps[a.u][0] @ reps[a.u][1]) ** 2) + \
+                np.sum((reps[a.v][0] @ reps[a.v][1]) ** 2)
+            assert abs(a.cost - b.cost) <= 1e-12 * max(1.0, norms)
+            assert (a.rank, a.degenerate) == (b.rank, b.degenerate)
+
+
+class TestMapsForChosenEdgesOnly:
+    def counting(self, monkeypatch):
+        calls = []
+        original = infer.procrustes_align
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(infer, "procrustes_align", counted)
+        return calls
+
+    def test_maps_solved_only_for_selected_edges(self, rng, monkeypatch):
+        calls = self.counting(monkeypatch)
+        reps = mixed_reps(rng)
+        cands = enumerate_candidates(reps)
+        assert len(calls) == 0
+        selection = select_topology(cands, 40)
+        sheaf = build_sheaf(selection)
+        assert len(calls) == 40
+        for e, (u, v) in enumerate(sheaf.edges.tolist()):
+            F, _ = procrustes_align(*reps[u], *reps[v])
+            assert np.array_equal(sheaf.maps[e, 0], F)
+            assert np.array_equal(sheaf.maps[e, 1], np.eye(6))
+
+    def test_baseline_solves_no_map(self, rng, monkeypatch):
+        calls = self.counting(monkeypatch)
+        build_sheaf(select_topology(enumerate_candidates(mixed_reps(rng), "baseline"), 30))
+        assert len(calls) == 0
+
+    def test_baseline_costs_equal_unaligned_distance(self, rng):
+        reps = mixed_reps(rng)
+        for c in enumerate_candidates(reps, mode="baseline"):
+            assert c.cost == unaligned_distance(*reps[c.u], *reps[c.v])
+
+    def test_candidates_share_one_source(self, rng):
+        cands = enumerate_candidates(random_reps(rng, 5, 3))
+        assert all(c.source is cands[0].source for c in cands)
+        assert cands[0].source[0] == "aligned"
+        assert "source" not in repr(cands[0])
+
+    def test_candidates_without_source_rejected(self):
+        with pytest.raises(ValueError, match="representations"):
+            build_sheaf(select_topology(fake_candidates({(0, 1): 1.0}), 1))
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("mode", ["aligned", "baseline"])
+    def test_non_finite_coefficients_name_the_node(self, rng, mode):
+        reps = random_reps(rng, 4, 3)
+        reps[2][1][1, 3] = np.nan
+        with pytest.raises(ValueError, match="node 2"):
+            enumerate_candidates(reps, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["aligned", "baseline"])
+    def test_non_finite_basis_names_the_node(self, rng, mode):
+        reps = random_reps(rng, 4, 3)
+        reps[1] = (np.full((3, 3), np.inf), reps[1][1])
+        with pytest.raises(ValueError, match="node 1"):
+            enumerate_candidates(reps, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["aligned", "baseline"])
+    def test_ambient_dimension_mismatch(self, rng, mode):
+        reps = random_reps(rng, 4, 3)
+        reps[3] = (np.eye(4), rng.standard_normal((4, 8)))
+        with pytest.raises(ValueError, match="node 3"):
+            enumerate_candidates(reps, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["aligned", "baseline"])
+    def test_snapshot_count_mismatch(self, rng, mode):
+        reps = random_reps(rng, 4, 3)
+        reps[2] = (np.eye(3), rng.standard_normal((3, 9)))
+        with pytest.raises(ValueError, match="node 2"):
+            enumerate_candidates(reps, mode=mode)
