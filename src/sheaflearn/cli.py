@@ -27,6 +27,7 @@ from .infer import (
     select_topology,
 )
 from .serialize import (
+    _dump_json,
     candidates_to_csv,
     load_dataset,
     load_node_representations,
@@ -56,7 +57,7 @@ def _write_manifest(out: Path, command: str, seed, config: dict) -> None:
         "seed": seed,
         "config": config,
     }
-    (out / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _dump_json(doc, out / "manifest.json")
 
 
 def _out_dir(args) -> Path:

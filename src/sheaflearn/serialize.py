@@ -2,11 +2,16 @@
 container (manifest + per-node CSVs), and GraphML/DOT graph exports.
 
 All writers are deterministic: fixed float formatting, sorted JSON keys, no
-timestamps.
+timestamps. CSV rows are formatted with one ``%`` per row, and ``save_sheaf``
+streams sheaf.json one edge at a time; both produce the same bytes as the
+per-float ``"%.17g"`` loop and ``json.dumps(doc, indent=2, sort_keys=True)``.
+The identity map, which every learned sheaf holds as F_head, is formatted once
+and its text reused.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -20,25 +25,58 @@ from .synth import Dataset, NodeData
 FLOAT_FMT = "%.17g"
 
 
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % x
+def _csv_rows(m: np.ndarray) -> str:
+    """The rows of a 2-D float array as CSV lines, one ``%`` per row."""
+    row = ",".join([FLOAT_FMT] * m.shape[1]) + "\n"
+    return "".join([row % tuple(r) for r in m.tolist()])
+
+
+@functools.lru_cache(maxsize=4)
+def _identity_csv(d: int) -> tuple[bytes, str]:
+    """The d x d identity's bytes and its CSV rows, formatted once per size."""
+    eye = np.eye(d)
+    return eye.tobytes(), _csv_rows(eye)
 
 
 def matrix_to_csv(matrix: np.ndarray, path) -> None:
-    """Row-major CSV with a header row of column indices."""
+    """Row-major CSV with a header row of column indices. A matrix bit for bit
+    equal to the identity reuses the identity's text."""
     m = np.atleast_2d(np.asarray(matrix, float))
-    lines = [",".join(str(j) for j in range(m.shape[1]))]
-    for row in m:
-        lines.append(",".join(_fmt(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows, cols = m.shape
+    if rows == cols and m.tobytes() == _identity_csv(cols)[0]:
+        body = _identity_csv(cols)[1]
+    else:
+        body = _csv_rows(m)
+    Path(path).write_text(",".join(map(str, range(cols))) + "\n" + body)
 
 
 def matrix_from_csv(path) -> np.ndarray:
-    lines = Path(path).read_text().strip().splitlines()
-    body = lines[1:]
-    if not body:
-        return np.zeros((0, len(lines[0].split(","))))
-    return np.array([[float(x) for x in line.split(",")] for line in body])
+    """Read a ``matrix_to_csv`` file. A ragged row, an entry that is not a
+    number and a NaN or inf entry each raise ``ValueError`` naming the file."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    header, body = lines[0], lines[1:]
+    if not header:
+        # a d x 0 matrix is an empty header over d empty rows
+        if any(body):
+            raise ValueError(f"{path}: values under an empty header")
+        return np.zeros((len(body), 0))
+    width = header.count(",") + 1
+    rows = [line.split(",") for line in body]
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {i + 1} has {len(row)} values, "
+                             f"the header has {width}")
+    try:
+        m = np.array(rows, dtype=float).reshape(len(rows), width)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    finite = np.isfinite(m)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: non-finite entry {m[i, j]} at row {i + 1}, column {j}")
+    return m
 
 
 def _dump_json(obj, path) -> None:
@@ -47,18 +85,38 @@ def _dump_json(obj, path) -> None:
 
 # ---------------------------------------------------------------- sheaves
 
-def sheaf_to_dict(sheaf: Sheaf) -> dict:
-    return {
-        "nodes": sheaf.node_count,
-        "ambient_dim": sheaf.ambient_dim,
-        "per_node_dim": list(sheaf.per_node_dim),
-        "edges": [
-            {"tail": u, "head": v, "F_tail": f_tail, "F_head": f_head}
-            for (u, v), (f_tail, f_head) in zip(
-                sheaf.edges.tolist(), sheaf.maps.reshape(sheaf.edge_count, 2, -1).tolist()
-            )
-        ],
-    }
+def _json_list(items: list[str], indent: int) -> str:
+    """Formatted items as a JSON list whose items sit ``indent`` spaces deep,
+    laid out as ``json.dumps(..., indent=2)`` lays it out."""
+    if not items:
+        return "[]"
+    pad = " " * indent
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-2]}]"
+
+
+def _json_map(m: np.ndarray) -> str:
+    """A restriction map as its row-major JSON list inside an edge object;
+    ``float.__repr__`` is the float text ``json`` writes."""
+    return _json_list(list(map(float.__repr__, m.ravel().tolist())), 8)
+
+
+def save_sheaf(sheaf: Sheaf, path) -> None:
+    """Write ``{nodes, ambient_dim, per_node_dim, edges: [{tail, head,
+    F_tail, F_head}]}`` with row-major maps, one edge at a time, in the exact
+    layout of ``json.dumps(doc, indent=2, sort_keys=True)``."""
+    eye = np.eye(sheaf.ambient_dim)
+    eye_bytes, eye_text = eye.tobytes(), _json_map(eye)
+    with Path(path).open("w") as f:
+        f.write('{\n  "ambient_dim": %d,\n  "edges": [' % sheaf.ambient_dim)
+        for e, ((u, v), pair) in enumerate(zip(sheaf.edges.tolist(), sheaf.maps)):
+            f_tail, f_head = (eye_text if m.tobytes() == eye_bytes else _json_map(m)
+                              for m in pair)
+            f.write('%s\n    {\n      "F_head": %s,\n      "F_tail": %s,\n'
+                    '      "head": %d,\n      "tail": %d\n    }'
+                    % ("," if e else "", f_head, f_tail, v, u))
+        f.write("\n  ]" if sheaf.edge_count else "]")
+        f.write(',\n  "nodes": %d,\n  "per_node_dim": %s\n}\n'
+                % (sheaf.node_count, _json_list(["%d" % k for k in sheaf.per_node_dim], 4)))
 
 
 def sheaf_from_dict(doc: dict) -> Sheaf:
@@ -67,10 +125,6 @@ def sheaf_from_dict(doc: dict) -> Sheaf:
     maps = np.array([(e["F_tail"], e["F_head"]) for e in doc["edges"]], dtype=float)
     maps = maps.reshape(len(edges), 2, d, d)
     return make_sheaf(doc["nodes"], d, edges, maps, per_node_dim=doc["per_node_dim"])
-
-
-def save_sheaf(sheaf: Sheaf, path) -> None:
-    _dump_json(sheaf_to_dict(sheaf), path)
 
 
 def load_sheaf(path) -> Sheaf:
@@ -177,14 +231,12 @@ def candidates_to_csv(candidates, path) -> None:
     """u, v, cost, rank, then singular values padded to the longest profile."""
     cands = sorted(candidates, key=lambda c: (c.cost, c.u, c.v))
     width = max((len(c.singular_values) for c in cands), default=0)
-    header = ["u", "v", "cost", "rank"] + [f"sigma_{i + 1}" for i in range(width)]
-    lines = [",".join(header)]
-    for c in cands:
-        sig = list(c.singular_values) + [0.0] * (width - len(c.singular_values))
-        lines.append(",".join(
-            [str(c.u), str(c.v), _fmt(c.cost), str(c.rank)] + [_fmt(s) for s in sig]
-        ))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ",".join(["u", "v", "cost", "rank"] + [f"sigma_{i + 1}" for i in range(width)])
+    row = ",".join(["%s", "%s", FLOAT_FMT, "%s"] + [FLOAT_FMT] * width) + "\n"
+    pad = (0.0,) * width
+    lines = [row % ((c.u, c.v, c.cost, c.rank) + tuple(c.singular_values)
+                    + pad[len(c.singular_values):]) for c in cands]
+    Path(path).write_text(header + "\n" + "".join(lines))
 
 
 # ------------------------------------------------------------------- graphs

@@ -1,9 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sheaflearn.cli
+import sheaflearn.serialize
 from sheaflearn.cli import main
+from sheaflearn.serialize import matrix_from_csv, matrix_to_csv
+from conftest import oracle_candidates_to_csv, oracle_matrix_to_csv, oracle_save_sheaf
 
 
 def write_json(path, doc):
@@ -89,6 +94,47 @@ def test_cluster_outputs_and_determinism(tmp_path):
         assert (tmp_path / "a" / name).exists()
     graphml = (tmp_path / "a" / "graph_aligned.graphml").read_text()
     assert graphml.count("<node") == 16
+
+
+def run_with_export(tmp_path, tag, cfg_path):
+    """File bytes of the data, codes, inferred and export directories."""
+    *dirs, inferred = run_pipeline(tmp_path, tag, cfg_path)
+    export = tmp_path / f"export_{tag}"
+    assert main(["export", "--sheaf", str(inferred / "sheaf.json"),
+                 "--out", str(export), "--formats", "graphml,dot,csv"]) == 0
+    return [dir_bytes(d) for d in (*dirs, inferred, export)]
+
+
+def test_artifacts_match_reference_writers(tmp_path, monkeypatch):
+    cfg = write_json(tmp_path / "gen.json", GEN_CFG)
+    fast = run_with_export(tmp_path, "fast", cfg)
+    for module in (sheaflearn.serialize, sheaflearn.cli):
+        monkeypatch.setattr(module, "matrix_to_csv", oracle_matrix_to_csv)
+    monkeypatch.setattr(sheaflearn.cli, "save_sheaf", oracle_save_sheaf)
+    monkeypatch.setattr(sheaflearn.cli, "candidates_to_csv", oracle_candidates_to_csv)
+    reference = run_with_export(tmp_path, "reference", cfg)
+    assert any(name.endswith("_F_head.csv") for name in fast[-1])
+    for stage, fast_tree, reference_tree in zip(("data", "codes", "inferred", "export"),
+                                                fast, reference):
+        assert fast_tree == reference_tree, stage
+
+
+def test_empty_support_node_through_files(tmp_path):
+    cfg = write_json(tmp_path / "gen.json", GEN_CFG)
+    data, codes = tmp_path / "data", tmp_path / "codes"
+    assert main(["generate", "--config", cfg, "--out", str(data)]) == 0
+    # zero observations code to an empty support
+    obs = data / "node_002_observations.csv"
+    matrix_to_csv(np.zeros_like(matrix_from_csv(obs)), obs)
+    assert main(["denoise", "--data", str(data), "--out", str(codes)]) == 0
+    doc = json.loads((codes / "codes.json").read_text())
+    assert doc["codes"][2]["support"] == []
+    assert matrix_from_csv(codes / "code_002_local_basis.csv").shape == (GEN_CFG["ambient_dim"], 0)
+    out = tmp_path / "inferred"
+    assert main(["infer", "--data", str(codes), "--out", str(out),
+                 "--mode", "aligned", "--e0", "auto"]) == 0
+    sel = json.loads((out / "selection.json").read_text())
+    assert any(2 in pair for pair in sel["selected"])
 
 
 def test_export(tmp_path):

@@ -7,9 +7,12 @@ from sheaflearn import (
     DenoiseConfig,
     SheafStructureError,
     SynthConfig,
+    build_sheaf,
     code_dataset,
     enumerate_candidates,
     generate_dataset,
+    make_sheaf,
+    min_edges_for_connectivity,
     select_topology,
 )
 from sheaflearn.serialize import (
@@ -26,7 +29,12 @@ from sheaflearn.serialize import (
     write_dot,
     write_graphml,
 )
-from conftest import random_sheaf
+from conftest import (
+    oracle_candidates_to_csv,
+    oracle_matrix_to_csv,
+    oracle_save_sheaf,
+    random_sheaf,
+)
 
 
 def test_matrix_csv_roundtrip(tmp_path, rng):
@@ -35,6 +43,104 @@ def test_matrix_csv_roundtrip(tmp_path, rng):
     header = (tmp_path / "m.csv").read_text().splitlines()[0]
     assert header == "0,1,2,3,4,5,6"
     assert np.array_equal(matrix_from_csv(tmp_path / "m.csv"), m)
+
+
+SPECIAL = [-0.0, 5e-324, 1e-300, 0.1, 1.0, -1.0, 1e16, 1e22]
+SPECIAL += [-x for x in SPECIAL]
+
+
+def written_bytes(writer, obj, path):
+    writer(obj, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 7), (1, 1), (3, 3), (0, 5), (5, 0), (0, 0), (8, 8)])
+def test_matrix_csv_matches_per_float_writer(tmp_path, rng, shape):
+    m = rng.standard_normal(shape)
+    m.ravel()[:len(SPECIAL)] = SPECIAL[:m.size]
+    assert written_bytes(matrix_to_csv, m, tmp_path / "fast.csv") == \
+        written_bytes(oracle_matrix_to_csv, m, tmp_path / "oracle.csv")
+    loaded = matrix_from_csv(tmp_path / "fast.csv")
+    assert loaded.shape == m.shape
+    assert loaded.tobytes() == m.tobytes()  # bit for bit, signed zeros included
+
+
+@pytest.mark.parametrize("d", [1, 3, 64])
+def test_identity_csv_reuse_is_bit_exact(tmp_path, d):
+    eye = np.eye(d)
+    assert written_bytes(matrix_to_csv, eye, tmp_path / "fast.csv") == \
+        written_bytes(oracle_matrix_to_csv, eye, tmp_path / "oracle.csv")
+    # equal to the identity as numbers, but not as text
+    signed = eye.copy()
+    signed[0, -1] = -0.0
+    assert written_bytes(matrix_to_csv, signed, tmp_path / "fast.csv") == \
+        written_bytes(oracle_matrix_to_csv, signed, tmp_path / "oracle.csv")
+    assert (tmp_path / "fast.csv").read_text().splitlines()[1].endswith("-0")
+
+
+def test_sheaf_json_matches_json_dumps(tmp_path, rng):
+    two_sided = random_sheaf(rng, 6, 4, 9)
+    scalar = make_sheaf(3, 1, [(0, 1), (1, 2)],
+                        [(np.array([[-1.0]]), np.array([[1.0]])),
+                         (np.array([[1.0]]), np.array([[-1.0]]))])
+    tiny = np.array([[1.0, 5e-324], [-5e-324, 1.0]])
+    small = np.array([[1.0, 1e-300], [-1e-300, 1.0]])
+    signed_eye = np.array([[1.0, -0.0], [0.0, 1.0]])
+    swap = np.array([[-0.0, 1.0], [1.0, 0.0]])
+    special = make_sheaf(4, 2, [(0, 1), (1, 2), (2, 3)],
+                         [(tiny, np.eye(2)), (small, signed_eye), (swap, np.eye(2))],
+                         per_node_dim=(1, 2, 2, 1))
+    for sheaf in (two_sided, scalar, special):
+        assert written_bytes(save_sheaf, sheaf, tmp_path / "fast.json") == \
+            written_bytes(oracle_save_sheaf, sheaf, tmp_path / "oracle.json")
+
+
+def test_learned_sheaf_json_and_candidates_match_reference(tmp_path):
+    ds = generate_dataset(SynthConfig(node_count=6, ambient_dim=8, dims=3,
+                                      snapshots=16, seed=2))
+    codes = code_dataset(ds, DenoiseConfig(alpha=2.0))
+    cands = enumerate_candidates([(c.local_basis, c.compact_coeffs) for c in codes])
+    sheaf = build_sheaf(select_topology(cands, min_edges_for_connectivity(cands)))
+    assert np.array_equal(sheaf.maps[:, 1], np.broadcast_to(np.eye(8), sheaf.maps[:, 1].shape))
+    assert written_bytes(save_sheaf, sheaf, tmp_path / "fast.json") == \
+        written_bytes(oracle_save_sheaf, sheaf, tmp_path / "oracle.json")
+    for mode in ("aligned", "baseline"):
+        cands = enumerate_candidates([(c.local_basis, c.compact_coeffs) for c in codes],
+                                     mode=mode)
+        assert written_bytes(candidates_to_csv, cands, tmp_path / "fast.csv") == \
+            written_bytes(oracle_candidates_to_csv, cands, tmp_path / "oracle.csv")
+
+
+def test_edgeless_sheaf_roundtrip(tmp_path):
+    sheaf = make_sheaf(3, 2, [], np.zeros((0, 2, 2, 2)))
+    save_sheaf(sheaf, tmp_path / "sheaf.json")
+    doc = {"nodes": 3, "ambient_dim": 2, "per_node_dim": [2, 2, 2], "edges": []}
+    assert (tmp_path / "sheaf.json").read_text() == \
+        json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    loaded = load_sheaf(tmp_path / "sheaf.json")
+    assert loaded.edge_count == 0
+    assert loaded.maps.shape == (0, 2, 2, 2)
+    assert (loaded.node_count, loaded.ambient_dim, loaded.per_node_dim) == (3, 2, (2, 2, 2))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("0,1,2\n1,2,3\n4,5\n", "row 2 has 2 values, the header has 3"),
+    # 3 + 5 values = 2 rows of 4: a flat parse-then-reshape would accept this
+    ("0,1,2,3\n1,2,3\n4,5,6,7,8\n", "row 1 has 3 values, the header has 4"),
+    ("0,1\n1,2\n\n", "row 2 has 1 values"),
+    ("\n\n1\n", "values under an empty header"),
+    ("0,1\n1,x\n", "could not convert"),
+    ("0,1\n1,nan\n", "non-finite entry nan at row 1, column 1"),
+    ("0,1\n1,2\ninf,2\n", "non-finite entry inf at row 2, column 0"),
+    ("0,1\n1,2\n3,-inf\n", "non-finite entry -inf at row 2, column 1"),
+    ("", "empty file"),
+])
+def test_bad_csv_rejected_naming_file(tmp_path, text, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match) as info:
+        matrix_from_csv(path)
+    assert str(path) in str(info.value)
 
 
 def test_sheaf_json_roundtrip(tmp_path, rng):
