@@ -46,6 +46,7 @@ from .experiments import (
     run_tv_sweep,
 )
 from .infer import (
+    Candidates,
     EdgeSelection,
     build_sheaf,
     enumerate_candidates,

@@ -8,13 +8,14 @@ u side; the v side keeps the identity (the pair is only determined up to a
 common rotation).
 
 Selection reads only the cost, so ``infer.enumerate_candidates`` scores every
-pair without forming a map (QR-reduced Gram blocks, batched singular values)
-and ``procrustes_align`` runs only for the edges that are kept.
+pair into one cost-sorted table of arrays without forming a map (QR-reduced
+Gram blocks, batched singular values) and ``procrustes_align`` runs only for
+the edges that are kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +33,8 @@ class EdgeCandidate:
 
     cost = ||X_u||_F^2 + ||X_v||_F^2 - 2 * sum(singular_values), the minimal
     Frobenius misfit over all orthonormal maps (identity for baseline mode).
-    ``source`` is ``(mode, reps)``: the scoring mode and the node
-    representations the candidate was scored from, one tuple shared by every
-    candidate of an ``enumerate_candidates`` call. ``infer.build_sheaf``
-    solves the map from it for the edges that are kept; candidates made
-    elsewhere carry ``None``.
+    ``procrustes_align`` returns one with its map; the rows of an
+    ``infer.Candidates`` table iterate as these.
     """
 
     u: int
@@ -45,7 +43,6 @@ class EdgeCandidate:
     singular_values: tuple[float, ...]
     rank: int
     degenerate: bool = False
-    source: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def pair(self) -> tuple[int, int]:

@@ -91,13 +91,21 @@ def cmd_denoise(args) -> int:
     return 0
 
 
+def _edge_budget(text: str):
+    """``--e0``: "auto" or a non-negative integer."""
+    if text != "auto" and not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a non-negative integer: {text!r}")
+    return text if text == "auto" else int(text)
+
+
 def cmd_infer(args) -> int:
     reps = load_node_representations(args.data)
+    pairs = len(reps) * (len(reps) - 1) // 2
+    if args.e0 != "auto" and args.e0 > pairs:
+        print(f"--e0 {args.e0} exceeds the {pairs} node pairs", file=sys.stderr)
+        return 2
     candidates = enumerate_candidates(reps, mode=args.mode)
-    if args.e0 == "auto":
-        e0 = min_edges_for_connectivity(candidates)
-    else:
-        e0 = int(args.e0)
+    e0 = min_edges_for_connectivity(candidates) if args.e0 == "auto" else args.e0
     selection = select_topology(candidates, e0)
     sheaf = build_sheaf(selection)
     out = _out_dir(args)
@@ -189,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", parents=[common], help="infer the sheaf topology")
     p.add_argument("--data", required=True, help="sparse-code directory")
     p.add_argument("--mode", choices=("aligned", "baseline"), default="aligned")
-    p.add_argument("--e0", default="auto", help="edge budget, or 'auto' for connectivity minimum")
+    p.add_argument("--e0", type=_edge_budget, default="auto",
+                   help="edge budget, or 'auto' for connectivity minimum")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("sweep", parents=[common], help="TV sweep over (alpha, snr, E0)")

@@ -34,6 +34,8 @@ class Dictionary:
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.atoms, dtype=float))
+        if not np.all(np.isfinite(a)):
+            raise ValueError("non-finite entries in the dictionary atoms")
         object.__setattr__(self, "atoms", a)
         if self.orthonormal:
             gram = a.T @ a
@@ -132,9 +134,12 @@ def block_sparse_code(X: np.ndarray, D: Dictionary, cfg: DenoiseConfig) -> Spars
 
     Runs ISTA until the relative objective change drops below ``cfg.rel_tol``
     or ``cfg.max_iters`` is reached (the latter emits SolverWarning; the last
-    iterate is still returned with its final relative change).
+    iterate is still returned with its final relative change). Non-finite
+    observations raise ``ValueError`` before the first iteration.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite entries in the observations")
     if X.shape[0] != D.signal_dim:
         raise ValueError(f"signal has {X.shape[0]} rows, dictionary atoms have {D.signal_dim}")
     smax = np.linalg.norm(D.atoms, 2)
@@ -206,8 +211,13 @@ def extract_local_basis(code: SparseCode, threshold: float):
 
 
 def code_dataset(dataset, cfg: DenoiseConfig) -> list[SparseCode]:
-    """Code every node of a synthetic dataset against its own dictionary."""
-    return [
-        block_sparse_code(node.observations, Dictionary(node.dictionary, orthonormal=True), cfg)
-        for node in dataset.nodes
-    ]
+    """Code every node of a synthetic dataset against its own dictionary. Bad
+    input at a node raises ``ValueError`` naming the node."""
+    codes = []
+    for u, node in enumerate(dataset.nodes):
+        try:
+            D = Dictionary(node.dictionary, orthonormal=True)
+            codes.append(block_sparse_code(node.observations, D, cfg))
+        except ValueError as exc:
+            raise ValueError(f"node {u}: {exc}") from None
+    return codes

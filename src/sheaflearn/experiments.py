@@ -2,9 +2,9 @@
 two-cluster comparison, and report/plot emission.
 
 Per edge the total variation contributed by the learned sheaf equals the
-candidate's alignment cost, so TV(E0) is evaluated as the prefix sum of the
-sorted cost list; agreement with the assembled Laplacian quadratic form is
-covered by the cross-module tests.
+candidate's alignment cost, so TV(E0) is the candidate table's prefix sum
+of its sorted costs; agreement with the assembled Laplacian quadratic form
+is covered by the cross-module tests.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .denoise import DenoiseConfig, code_dataset
-from .infer import enumerate_candidates, min_edges_for_connectivity, sort_candidates
+from .infer import enumerate_candidates, min_edges_for_connectivity
 from .plots import svg_line_chart
 from .synth import SynthConfig, generate_cluster_scenario, generate_dataset
 
@@ -89,12 +89,6 @@ def intra_cluster_fraction(edges, labels) -> float:
     return same / len(edges)
 
 
-def _tv_prefix(candidates) -> np.ndarray:
-    """tv[k] = total variation of the sheaf built from the k cheapest edges."""
-    costs = np.array([c.cost for c in sort_candidates(candidates)])
-    return np.concatenate([[0.0], np.cumsum(costs)])
-
-
 def _sweep_point(spec: SweepSpec, alpha: float, snr_db: float, dataset) -> list[ReportRow]:
     """Denoise ``dataset`` (shared by every alpha at this SNR, read only)
     at ``alpha`` and tabulate TV(E0) per mode."""
@@ -102,26 +96,24 @@ def _sweep_point(spec: SweepSpec, alpha: float, snr_db: float, dataset) -> list[
     # only the compact forms are read: the full coefficients are dropped here
     reps = reps_from_codes(code_dataset(dataset, DenoiseConfig(alpha=alpha)))
 
-    per_mode = {}
-    for mode in spec.modes:
-        cands = enumerate_candidates(reps, mode=mode)
-        per_mode[mode] = (cands, min_edges_for_connectivity(cands), _tv_prefix(cands))
+    per_mode = {mode: enumerate_candidates(reps, mode=mode) for mode in spec.modes}
 
     if spec.e0_grid is not None:
         e0_values = list(spec.e0_grid)
     else:
-        start = min(conn for _, conn, _ in per_mode.values())
+        start = min(min_edges_for_connectivity(cands) for cands in per_mode.values())
         e0_values = list(range(start, spec.node_count * (spec.node_count - 1) // 2 + 1))
 
     wall_ms = (time.perf_counter() - t0) * 1000.0
     rows = []
-    for mode, (cands, conn, tv) in per_mode.items():
+    for mode, cands in per_mode.items():
+        conn = min_edges_for_connectivity(cands)
         for e0 in e0_values:
-            if not (0 <= e0 < tv.size):
+            if not (0 <= e0 <= len(cands)):
                 raise ValueError(f"E0 = {e0} out of range for {len(cands)} candidates")
             rows.append(ReportRow(
                 mode=mode, alpha=alpha, snr_db=snr_db, e0=e0,
-                total_variation=float(tv[e0]),
+                total_variation=float(cands.tv_prefix[e0]),
                 intra_cluster_fraction=None,
                 connect_min=conn, wall_ms=wall_ms,
             ))
@@ -169,7 +161,7 @@ def run_cluster_experiment(seed: int, alpha: float = 8.0, snapshots: int = 512,
                            rho: float = 0.9, snr_db: float = 20.0):
     """Two-cluster comparison: infer the topology in both modes at each
     mode's own connectivity-minimum E0 and score the intra-cluster edge
-    fraction. Returns (report, {mode: selected edge list}, labels)."""
+    fraction. Returns (report, {mode: selection}, labels)."""
     from .infer import select_topology
 
     t0 = time.perf_counter()

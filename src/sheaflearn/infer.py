@@ -9,8 +9,8 @@ so the sorted-prefix greedy is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,46 +21,79 @@ from .core import EDGE_CHUNK, Sheaf, make_sheaf
 MODES = ("aligned", "baseline")
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.components = n
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """Every scored node pair, one array per field, sorted once when built by
+    (cost, u, v): the order in which selection keeps edges. ``sigma`` is
+    (P, d) in aligned mode and (P, 0) in baseline mode. ``build_sheaf``
+    solves maps from ``mode`` and ``reps``. Iterating or indexing yields
+    ``EdgeCandidate`` rows."""
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    u: np.ndarray
+    v: np.ndarray
+    cost: np.ndarray
+    rank: np.ndarray
+    degenerate: np.ndarray
+    sigma: np.ndarray
+    mode: str | None = None
+    reps: tuple | None = field(default=None, repr=False)
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        self.components -= 1
-        return True
+    def __post_init__(self):
+        order = np.lexsort((self.v, self.u, self.cost))
+        for name in ("u", "v", "cost", "rank", "degenerate", "sigma"):
+            column = np.asarray(getattr(self, name))[order]
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.cost.size
+
+    def __iter__(self):
+        return map(EdgeCandidate, self.u.tolist(), self.v.tolist(), self.cost.tolist(),
+                   map(tuple, self.sigma.tolist()), self.rank.tolist(),
+                   self.degenerate.tolist())
+
+    def __getitem__(self, index):
+        return list(self)[index]  # rows are built on demand, as in iteration
+
+    @cached_property
+    def connected_at(self) -> int:
+        """Smallest k such that the k cheapest pairs connect every node."""
+        component = np.arange(max(self.u.max(), self.v.max()) + 1)
+        merges = 0
+        for k, (a, b) in enumerate(zip(self.u.tolist(), self.v.tolist()), start=1):
+            if component[a] != component[b]:
+                component[component == component[b]] = component[a]
+                merges += 1
+                if merges == component.size - 1:
+                    return k
+        raise ValueError("candidate set does not connect the graph")
+
+    @cached_property
+    def tv_prefix(self) -> np.ndarray:
+        """tv_prefix[k] = total cost of the k cheapest pairs, summed in order."""
+        return np.concatenate([[0.0], np.cumsum(self.cost)])
 
 
 @dataclass(frozen=True)
 class EdgeSelection:
-    """Greedy selection result: the chosen prefix plus the full sorted list."""
+    """Greedy selection result: the cheapest E0 rows of a candidate table."""
 
-    selected: tuple[tuple[int, int], ...]
+    candidates: Candidates
     E0: int
-    costs: tuple[EdgeCandidate, ...]   # full candidate list, cost-ascending
-    connected_at: int                  # minimal prefix length achieving connectivity
+
+    @cached_property
+    def selected(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.candidates.u[:self.E0].tolist(),
+                         self.candidates.v[:self.E0].tolist()))
+
+    @property
+    def connected_at(self) -> int:
+        return self.candidates.connected_at
 
     @property
     def total_cost(self) -> float:
-        by_pair = {c.pair: c for c in self.costs}
-        return float(sum(by_pair[p].cost for p in self.selected))
-
-
-def sort_candidates(candidates) -> tuple[EdgeCandidate, ...]:
-    """Cost-ascending order with deterministic (u, v) lexicographic tie-break."""
-    return tuple(sorted(candidates, key=lambda c: (c.cost, c.u, c.v)))
+        return float(self.candidates.tv_prefix[self.E0])
 
 
 def _checked_reps(reps) -> tuple:
@@ -86,7 +119,7 @@ def _checked_reps(reps) -> tuple:
     return tuple(out)
 
 
-def _score_aligned(reps, source) -> list[EdgeCandidate]:
+def _score_aligned(reps) -> Candidates:
     """Aligned costs of all pairs without forming a map.
 
     With D_u = Q_u R_u (reduced QR) the cross product is
@@ -109,7 +142,7 @@ def _score_aligned(reps, source) -> list[EdgeCandidate]:
     rows = B.reshape(-1, B.shape[2])
     V = len(reps)
     buf = np.empty((min(EDGE_CHUNK, V - 1), kmax, kmax))
-    out: list[EdgeCandidate] = []
+    chunks = []
     for u in range(V - 1):
         for lo in range(u + 1, V, EDGE_CHUNK):
             vs = np.arange(lo, min(V, lo + EDGE_CHUNK))
@@ -127,36 +160,33 @@ def _score_aligned(reps, source) -> list[EdgeCandidate]:
             cost = np.where(degenerate, pair_norms,
                             np.maximum(0.0, pair_norms - 2.0 * np.sum(sigma, axis=1)))
             rank = np.count_nonzero(sigma > RANK_RTOL * sigma[:, :1], axis=1)
-            out.extend(
-                EdgeCandidate(u=u, v=v, cost=c, singular_values=tuple(sig), rank=r,
-                              degenerate=g, source=source)
-                for v, c, sig, r, g in zip(vs.tolist(), cost.tolist(), sigma.tolist(),
-                                           rank.tolist(), degenerate.tolist())
-            )
-    return out
+            chunks.append((cost, rank, degenerate, sigma))
+    # the chunks hold the pairs in np.triu_indices order
+    return Candidates(*np.triu_indices(V, 1), *map(np.concatenate, zip(*chunks)),
+                      "aligned", reps)
 
 
-def _score_baseline(reps, source) -> list[EdgeCandidate]:
+def _score_baseline(reps) -> Candidates:
     """Plain distances ||X_u - X_v||_F^2, each X_u = D_u S_u formed once;
     equal bit for bit to ``unaligned_distance``."""
     X = [b @ s for b, s in reps]
-    out: list[EdgeCandidate] = []
-    for u, v in combinations(range(len(X)), 2):
-        diff = X[u] - X[v]
-        out.append(EdgeCandidate(u=u, v=v, cost=float(np.sum(diff * diff)),
-                                 singular_values=(), rank=0, source=source))
-    return out
+    u_of, v_of = np.triu_indices(len(X), 1)
+    cost = [np.sum(diff * diff) for diff in
+            (X[u] - X[v] for u, v in zip(u_of.tolist(), v_of.tolist()))]
+    P = u_of.size
+    return Candidates(u_of, v_of, cost, np.zeros(P, np.intp), np.zeros(P, bool),
+                      np.zeros((P, 0)), "baseline", reps)
 
 
-def enumerate_candidates(reps, mode: str = "aligned") -> list[EdgeCandidate]:
+def enumerate_candidates(reps, mode: str = "aligned") -> Candidates:
     """Score every node pair; no restriction map is formed here.
 
     ``reps`` holds one (local_basis, compact_coeffs) pair per node. Aligned
     mode scores the optimal-map cost from QR-reduced Gram blocks (see
     ``_score_aligned``); baseline mode keeps identity maps and scores the
-    plain distance between the denoised signals. Every candidate shares one
-    ``(mode, reps)`` tuple, from which ``build_sheaf`` solves the maps of
-    the edges that are kept. Non-finite entries and shapes that disagree
+    plain distance between the denoised signals. The ``Candidates`` table
+    keeps ``mode`` and ``reps``, from which ``build_sheaf`` solves the maps
+    of the edges that are kept. Non-finite entries and shapes that disagree
     with node 0 raise ``ValueError`` naming the node.
     """
     if mode not in MODES:
@@ -164,38 +194,22 @@ def enumerate_candidates(reps, mode: str = "aligned") -> list[EdgeCandidate]:
     reps = _checked_reps(reps)
     if len(reps) < 2:
         raise ValueError("need at least two nodes to enumerate edges")
-    source = (mode, reps)
     if mode == "aligned":
-        return _score_aligned(reps, source)
-    return _score_baseline(reps, source)
+        return _score_aligned(reps)
+    return _score_baseline(reps)
 
 
-def min_edges_for_connectivity(candidates) -> int:
+def min_edges_for_connectivity(candidates: Candidates) -> int:
     """Smallest k such that the k cheapest candidate edges connect the graph."""
-    ordered = sort_candidates(candidates)
-    node_count = max(max(c.u, c.v) for c in ordered) + 1
-    if node_count == 1:
-        return 0
-    uf = _UnionFind(node_count)
-    for k, cand in enumerate(ordered, start=1):
-        uf.union(cand.u, cand.v)
-        if uf.components == 1:
-            return k
-    raise ValueError("candidate set does not connect the graph")
+    return candidates.connected_at
 
 
-def select_topology(candidates, E0: int) -> EdgeSelection:
+def select_topology(candidates: Candidates, E0: int) -> EdgeSelection:
     """Keep the E0 cheapest candidate edges (exact for the separable objective)."""
-    ordered = sort_candidates(candidates)
-    if not (0 <= E0 <= len(ordered)):
-        raise ValueError(f"E0 = {E0} outside [0, {len(ordered)}]")
-    connected_at = min_edges_for_connectivity(ordered)
-    return EdgeSelection(
-        selected=tuple(c.pair for c in ordered[:E0]),
-        E0=E0,
-        costs=ordered,
-        connected_at=connected_at,
-    )
+    if not (0 <= E0 <= len(candidates)):
+        raise ValueError(f"E0 = {E0} outside [0, {len(candidates)}]")
+    candidates.connected_at  # computed once per table; raises when disconnected
+    return EdgeSelection(candidates, E0)
 
 
 def build_sheaf(selection: EdgeSelection) -> Sheaf:
@@ -208,22 +222,15 @@ def build_sheaf(selection: EdgeSelection) -> Sheaf:
     stack is the identity. Every node gets the full ambient dimension as its
     stalk.
     """
-    pool = selection.costs
-    if not pool:
-        return make_sheaf(1, 1, [], np.empty((0, 2, 1, 1)))
-    if any(c.source is None for c in pool):
+    table = selection.candidates
+    if table.reps is None:
         raise ValueError("candidates carry no node representations; "
                          "score them with enumerate_candidates")
-    by_pair = {c.pair: c for c in pool}
-    chosen = [by_pair[p] for p in selection.selected]
-    d = pool[0].source[1][0][0].shape[0]
-    node_count = max(max(c.u, c.v) for c in pool) + 1
-    maps = np.empty((len(chosen), 2, d, d))
-    maps[:, 1] = np.eye(d)
-    for e, c in enumerate(chosen):
-        mode, reps = c.source
-        if mode == "aligned":
-            maps[e, 0] = procrustes_align(*reps[c.u], *reps[c.v])[0]
-        else:
-            maps[e, 0] = np.eye(d)
-    return make_sheaf(node_count, d, [c.pair for c in chosen], maps)
+    reps = table.reps
+    d = reps[0][0].shape[0]
+    maps = np.empty((selection.E0, 2, d, d))
+    maps[:] = np.eye(d)
+    if table.mode == "aligned":
+        for e, (u, v) in enumerate(selection.selected):
+            maps[e, 0] = procrustes_align(*reps[u], *reps[v])[0]
+    return make_sheaf(len(reps), d, selection.selected, maps)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Sheaf, make_sheaf
 from .denoise import SparseCode
-from .infer import EdgeSelection
+from .infer import Candidates, EdgeSelection
 from .synth import Dataset, NodeData
 
 FLOAT_FMT = "%.17g"
@@ -119,16 +119,23 @@ def save_sheaf(sheaf: Sheaf, path) -> None:
                 % (sheaf.node_count, _json_list(["%d" % k for k in sheaf.per_node_dim], 4)))
 
 
-def sheaf_from_dict(doc: dict) -> Sheaf:
+def sheaf_from_dict(doc: dict, source: str = "sheaf document") -> Sheaf:
+    """The sheaf a ``save_sheaf`` document describes. A map that is not d x d
+    numbers raises ``ValueError`` naming ``source`` and the edge."""
     d = doc["ambient_dim"]
     edges = [(e["tail"], e["head"]) for e in doc["edges"]]
-    maps = np.array([(e["F_tail"], e["F_head"]) for e in doc["edges"]], dtype=float)
-    maps = maps.reshape(len(edges), 2, d, d)
+    maps = np.empty((len(edges), 2, d, d))
+    for e, edge in enumerate(doc["edges"]):
+        for side, key in enumerate(("F_tail", "F_head")):
+            try:
+                maps[e, side] = np.reshape(np.asarray(edge[key], dtype=float), (d, d))
+            except ValueError as exc:
+                raise ValueError(f"{source}: edge {e}: {key} is not {d}x{d} numbers") from exc
     return make_sheaf(doc["nodes"], d, edges, maps, per_node_dim=doc["per_node_dim"])
 
 
 def load_sheaf(path) -> Sheaf:
-    return sheaf_from_dict(json.loads(Path(path).read_text()))
+    return sheaf_from_dict(json.loads(Path(path).read_text()), source=str(path))
 
 
 # ---------------------------------------------------------------- datasets
@@ -212,13 +219,15 @@ def load_node_representations(in_dir) -> list[tuple[np.ndarray, np.ndarray]]:
 # --------------------------------------------------------------- selections
 
 def selection_to_dict(selection: EdgeSelection) -> dict:
+    table = selection.candidates
     return {
         "E0": selection.E0,
         "connected_at": selection.connected_at,
         "selected": [list(p) for p in selection.selected],
         "candidates": [
-            {"u": c.u, "v": c.v, "cost": c.cost, "rank": c.rank}
-            for c in selection.costs
+            {"u": u, "v": v, "cost": c, "rank": r}
+            for u, v, c, r in zip(table.u.tolist(), table.v.tolist(), table.cost.tolist(),
+                                  table.rank.tolist())
         ],
     }
 
@@ -227,15 +236,15 @@ def save_selection(selection: EdgeSelection, path) -> None:
     _dump_json(selection_to_dict(selection), path)
 
 
-def candidates_to_csv(candidates, path) -> None:
-    """u, v, cost, rank, then singular values padded to the longest profile."""
-    cands = sorted(candidates, key=lambda c: (c.cost, c.u, c.v))
-    width = max((len(c.singular_values) for c in cands), default=0)
+def candidates_to_csv(candidates: Candidates, path) -> None:
+    """u, v, cost, rank, then the singular values, one row per candidate in
+    the table's cost order."""
+    width = candidates.sigma.shape[1]
     header = ",".join(["u", "v", "cost", "rank"] + [f"sigma_{i + 1}" for i in range(width)])
     row = ",".join(["%s", "%s", FLOAT_FMT, "%s"] + [FLOAT_FMT] * width) + "\n"
-    pad = (0.0,) * width
-    lines = [row % ((c.u, c.v, c.cost, c.rank) + tuple(c.singular_values)
-                    + pad[len(c.singular_values):]) for c in cands]
+    lines = [row % (u, v, c, r, *sigma) for u, v, c, r, sigma in zip(
+        candidates.u.tolist(), candidates.v.tolist(), candidates.cost.tolist(),
+        candidates.rank.tolist(), candidates.sigma.tolist())]
     Path(path).write_text(header + "\n" + "".join(lines))
 
 

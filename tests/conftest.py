@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sheaflearn import make_sheaf
+from sheaflearn import Candidates, make_sheaf
 
 
 def random_orthonormal(rng, d):
@@ -24,6 +24,15 @@ def random_sheaf(rng, node_count, dim, edge_count):
     edges = random_edges(rng, node_count, edge_count)
     maps = [(random_orthonormal(rng, dim), random_orthonormal(rng, dim)) for _ in edges]
     return make_sheaf(node_count, dim, edges, maps)
+
+
+def candidate_table(costs_by_pair):
+    """A baseline-shaped table built straight from (u, v, cost) arrays, with
+    no node representations."""
+    u, v = np.array(list(costs_by_pair), dtype=np.intp).reshape(-1, 2).T
+    P = u.size
+    return Candidates(u, v, list(costs_by_pair.values()), np.zeros(P, np.intp),
+                      np.zeros(P, bool), np.zeros((P, 0)))
 
 
 @pytest.fixture

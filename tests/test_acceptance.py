@@ -25,9 +25,8 @@ from sheaflearn import (
     select_topology,
     total_variation,
 )
-from sheaflearn.align import EdgeCandidate
 from sheaflearn.cli import main as cli_main
-from conftest import random_orthonormal, random_sheaf
+from conftest import candidate_table, random_orthonormal, random_sheaf
 
 
 @contextmanager
@@ -138,11 +137,8 @@ def test_criterion_5_greedy_exactness():
                 rng = np.random.default_rng(2000 + seed)
                 seed += 1
                 pairs = list(combinations(range(v), 2))
-                cands = [
-                    EdgeCandidate(u=u, v=w, cost=float(c), singular_values=(), rank=0)
-                    for (u, w), c in zip(pairs, rng.random(len(pairs)) * 10)
-                ]
-                by_pair = {c.pair: c.cost for c in cands}
+                by_pair = dict(zip(pairs, (rng.random(len(pairs)) * 10).tolist()))
+                cands = candidate_table(by_pair)
                 for e0 in range(len(pairs) + 1):
                     greedy = select_topology(cands, e0).total_cost
                     brute = min(

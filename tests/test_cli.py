@@ -65,6 +65,28 @@ def test_explicit_e0_and_baseline_mode(tmp_path):
     assert len(sel["selected"]) == 2
 
 
+@pytest.mark.parametrize("e0", ["abc", "-1", "2.5", ""])
+def test_e0_must_be_auto_or_a_count(tmp_path, capsys, e0):
+    with pytest.raises(SystemExit) as info:
+        main(["infer", "--data", str(tmp_path), "--out", str(tmp_path / "out"), "--e0", e0])
+    assert info.value.code == 2
+    assert "expected 'auto' or a non-negative integer" in capsys.readouterr().err
+
+
+def test_e0_above_pair_count_rejected_before_scoring(tmp_path, capsys, monkeypatch):
+    cfg = write_json(tmp_path / "gen.json", GEN_CFG)
+    _, codes, _ = run_pipeline(tmp_path, "a", cfg)
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored the pairs of an E0 that cannot be met")
+
+    monkeypatch.setattr(sheaflearn.cli, "enumerate_candidates", no_scoring)
+    out = tmp_path / "too_many"
+    assert main(["infer", "--data", str(codes), "--out", str(out), "--e0", "7"]) == 2
+    assert "--e0 7 exceeds the 6 node pairs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 SWEEP_CFG = {"alpha_grid": [0.5], "snr_grid": [20.0], "e0_grid": [0, 2, 5],
              "seed": 1, "node_count": 5, "ambient_dim": 8, "dims": 3,
              "snapshots": 16}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sheaflearn import (
     EmptySupportError,
     SynthConfig,
     block_sparse_code,
+    code_dataset,
     extract_local_basis,
     generate_dataset,
 )
@@ -134,6 +137,39 @@ def test_shape_mismatch_rejected(rng):
     with pytest.raises(ValueError):
         block_sparse_code(rng.standard_normal((3, 2)),
                           Dictionary(np.eye(4)), DenoiseConfig())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected_before_iterating(rng, bad, monkeypatch):
+    import sheaflearn.denoise as denoise
+
+    def no_iterations(*args):
+        raise AssertionError("ISTA ran on non-finite input")
+
+    monkeypatch.setattr(denoise, "coding_objective", no_iterations)
+    D = Dictionary(random_orthonormal(rng, 8), orthonormal=True)
+    X = rng.standard_normal((8, 20))
+    X[3, 7] = bad
+    with pytest.raises(ValueError, match="non-finite entries in the observations"):
+        block_sparse_code(X, D, DenoiseConfig())
+    atoms = rng.standard_normal((8, 8))
+    atoms[0, 4] = bad
+    for orthonormal in (False, True):
+        with pytest.raises(ValueError, match="non-finite entries in the dictionary atoms"):
+            Dictionary(atoms, orthonormal=orthonormal)
+
+
+@pytest.mark.parametrize("field, match", [("observations", "observations"),
+                                          ("dictionary", "dictionary atoms")])
+def test_code_dataset_names_the_bad_node(field, match):
+    ds = generate_dataset(SynthConfig(node_count=4, ambient_dim=8, dims=3, snapshots=10, seed=1))
+    bad = getattr(ds.nodes[2], field).copy()  # the nodes share one dictionary array
+    bad[5, 1] = np.inf
+    nodes = list(ds.nodes)
+    nodes[2] = replace(nodes[2], **{field: bad})
+    ds = replace(ds, nodes=tuple(nodes))
+    with pytest.raises(ValueError, match=f"node 2: non-finite entries in the {match}"):
+        code_dataset(ds, DenoiseConfig())
 
 
 def test_config_validation():

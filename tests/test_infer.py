@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sheaflearn import (
+    Candidates,
     Cochain0,
     assemble_laplacian,
     build_sheaf,
@@ -13,9 +14,9 @@ from sheaflearn import (
     total_variation,
 )
 import sheaflearn.infer as infer
+from sheaflearn.infer import MODES
 from sheaflearn.align import EdgeCandidate, procrustes_align, unaligned_distance
-from sheaflearn.infer import sort_candidates
-from conftest import random_orthonormal
+from conftest import candidate_table, random_orthonormal
 
 
 def random_reps(rng, node_count, d, n=8):
@@ -39,13 +40,6 @@ def mixed_reps(rng, d=6, n=9):
         S = np.zeros((du, n)) if node == 4 else rng.standard_normal((du, n))
         reps.append((D, S))
     return reps
-
-
-def fake_candidates(costs_by_pair):
-    return [
-        EdgeCandidate(u=u, v=v, cost=c, singular_values=(), rank=0)
-        for (u, v), c in costs_by_pair.items()
-    ]
 
 
 def connected_by_bfs(node_count, edges):
@@ -101,9 +95,8 @@ class TestSelectTopology:
         # the separable objective makes the greedy prefix exact
         for _ in range(5):
             pairs = list(combinations(range(5), 2))
-            cands = fake_candidates({p: float(c) for p, c in
-                                     zip(pairs, rng.standard_normal(len(pairs)) ** 2)})
-            by_pair = {c.pair: c.cost for c in cands}
+            by_pair = {p: float(c) for p, c in zip(pairs, rng.standard_normal(len(pairs)) ** 2)}
+            cands = candidate_table(by_pair)
             for e0 in range(len(pairs) + 1):
                 greedy = select_topology(cands, e0).total_cost
                 brute = min(sum(by_pair[p] for p in subset) if subset else 0.0
@@ -111,7 +104,7 @@ class TestSelectTopology:
                 assert abs(greedy - brute) <= 1e-12
 
     def test_tie_break_lexicographic(self):
-        cands = fake_candidates({(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
+        cands = candidate_table({(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
         sel = select_topology(cands, 2)
         assert sel.selected == ((0, 1), (0, 2))
 
@@ -124,9 +117,89 @@ class TestSelectTopology:
         assert a.connected_at == b.connected_at
 
 
+class TestCandidateTable:
+    def test_equal_costs_break_ties_by_u_then_v(self, rng):
+        # rows given out of order, with ties in cost and in u
+        table = candidate_table({(2, 3): 1.0, (1, 3): 0.5, (0, 3): 1.0, (1, 2): 1.0,
+                                 (0, 2): 0.5, (0, 1): 2.0})
+        assert [c.pair for c in table] == [(0, 2), (1, 3), (0, 3), (1, 2), (2, 3), (0, 1)]
+        # many ties: the table's order is Python's sort by (cost, u, v)
+        pairs = list(combinations(range(9), 2))
+        rows = [(float(c), u, v) for (u, v), c in zip(pairs, rng.integers(0, 3, len(pairs)))]
+        table = candidate_table({rows[i][1:]: rows[i][0] for i in rng.permutation(len(rows))})
+        assert [(c.cost, c.u, c.v) for c in table] == sorted(rows)
+
+    def test_scored_tables_in_python_sort_order(self, rng):
+        for mode in MODES:
+            rows = list(enumerate_candidates(mixed_reps(rng), mode))
+            assert rows == sorted(rows, key=lambda c: (c.cost, c.u, c.v))
+
+    def test_total_cost_is_the_sequential_sum(self, rng):
+        cands = enumerate_candidates(mixed_reps(rng))
+        assert cands.tv_prefix.shape == (len(cands) + 1,)
+        running = 0.0
+        for e0 in range(len(cands) + 1):
+            total = select_topology(cands, e0).total_cost
+            assert total == cands.tv_prefix[e0] == running  # bit for bit
+            if e0 < len(cands):
+                running += float(cands.cost[e0])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rows_equal_the_arrays(self, rng, mode):
+        reps = mixed_reps(rng)
+        cands = enumerate_candidates(reps, mode)
+        rows = list(cands)
+        assert len(rows) == len(cands) == len(reps) * (len(reps) - 1) // 2
+        assert cands.sigma.shape == (len(cands), 6 if mode == "aligned" else 0)
+        for p, c in enumerate(rows):
+            assert isinstance(c, EdgeCandidate)
+            assert type(c.u) is type(c.v) is type(c.rank) is int
+            assert (c.u, c.v, c.rank, c.degenerate) == \
+                (cands.u[p], cands.v[p], cands.rank[p], cands.degenerate[p])
+            assert c.cost == cands.cost[p]
+            assert c.singular_values == tuple(cands.sigma[p])
+        assert (cands[0], cands[-1], cands[1:]) == (rows[0], rows[-1], rows[1:])
+        assert not cands.cost.flags.writeable
+
+    def test_sorted_once_and_connectivity_found_once(self, rng, monkeypatch):
+        sorts, unions = [], []
+        lexsort, connected_at = np.lexsort, Candidates.connected_at.func
+
+        def counted_lexsort(keys):
+            sorts.append(keys)
+            return lexsort(keys)
+
+        def counted_connected_at(table):
+            unions.append(table)
+            return connected_at(table)
+
+        monkeypatch.setattr(np, "lexsort", counted_lexsort)
+        monkeypatch.setattr(Candidates.connected_at, "func", counted_connected_at)
+        reps = random_reps(rng, 6, 3)
+        cands = enumerate_candidates(reps)
+        assert (len(sorts), len(unions)) == (1, 0)
+        k = min_edges_for_connectivity(cands)
+        for e0 in (0, k, len(cands)):
+            selection = select_topology(cands, e0)
+            assert selection.connected_at == k
+            build_sheaf(selection)
+        assert (len(sorts), len(unions)) == (1, 1)
+        assert min_edges_for_connectivity(enumerate_candidates(reps)) == k
+        assert (len(sorts), len(unions)) == (2, 2)
+
+    def test_selected_pairs_are_python_ints(self, rng):
+        selected = select_topology(enumerate_candidates(random_reps(rng, 5, 2)), 4).selected
+        assert isinstance(selected, tuple) and len(selected) == 4
+        assert all(type(u) is type(v) is int for u, v in selected)
+
+    def test_disconnected_table_rejected(self):
+        with pytest.raises(ValueError, match="does not connect"):
+            select_topology(candidate_table({(0, 1): 1.0, (2, 3): 1.0}), 1)
+
+
 class TestConnectivity:
     def test_two_nodes(self):
-        cands = fake_candidates({(0, 1): 3.0})
+        cands = candidate_table({(0, 1): 3.0})
         assert min_edges_for_connectivity(cands) == 1
 
     def test_two_cheap_cliques(self):
@@ -136,9 +209,9 @@ class TestConnectivity:
                  (0, 3): 10.0, (0, 4): 11.0, (0, 5): 12.0,
                  (1, 3): 13.0, (1, 4): 14.0, (1, 5): 15.0,
                  (2, 3): 16.0, (2, 4): 17.0, (2, 5): 18.0}
-        cands = fake_candidates(costs)
+        cands = candidate_table(costs)
         k = min_edges_for_connectivity(cands)
-        ordered = sort_candidates(cands)
+        ordered = list(cands)
         assert ordered[k - 1].pair == (0, 3)
         assert connected_by_bfs(6, [c.pair for c in ordered[:k]])
         assert not connected_by_bfs(6, [c.pair for c in ordered[:k - 1]])
@@ -147,7 +220,7 @@ class TestConnectivity:
         for _ in range(10):
             cands = enumerate_candidates(random_reps(rng, 6, 2))
             k = min_edges_for_connectivity(cands)
-            ordered = sort_candidates(cands)
+            ordered = list(cands)
             assert connected_by_bfs(6, [c.pair for c in ordered[:k]])
             assert not connected_by_bfs(6, [c.pair for c in ordered[:k - 1]])
 
@@ -185,11 +258,11 @@ class TestBuildSheaf:
 
     def test_aligned_tv_dominated_by_baseline(self, rng):
         reps = random_reps(rng, 5, 2)
-        al = sort_candidates(enumerate_candidates(reps, mode="aligned"))
-        ba = sort_candidates(enumerate_candidates(reps, mode="baseline"))
+        al = enumerate_candidates(reps, mode="aligned")
+        ba = enumerate_candidates(reps, mode="baseline")
         for e0 in range(len(al) + 1):
-            tv_al = sum(c.cost for c in al[:e0])
-            tv_ba = sum(c.cost for c in ba[:e0])
+            tv_al = sum(al.cost[:e0].tolist())
+            tv_ba = sum(ba.cost[:e0].tolist())
             assert tv_al <= tv_ba + 1e-9
 
 
@@ -198,7 +271,7 @@ class TestScoringMatchesProcrustes:
 
     def assert_matches(self, cands, reps):
         d = reps[0][0].shape[0]
-        assert [c.pair for c in cands] == list(combinations(range(len(reps)), 2))
+        assert sorted(c.pair for c in cands) == list(combinations(range(len(reps)), 2))
         for c in cands:
             (Du, Su), (Dv, Sv) = reps[c.u], reps[c.v]
             _, ref = procrustes_align(Du, Su, Dv, Sv)
@@ -229,7 +302,7 @@ class TestScoringMatchesProcrustes:
         reps[1] = (np.zeros((3, 0)), np.zeros((0, 8)))
         cands = enumerate_candidates(reps)
         self.assert_matches(cands, reps)
-        assert [c.pair for c in cands if c.degenerate] == [(0, 1), (1, 2), (1, 3)]
+        assert sorted(c.pair for c in cands if c.degenerate) == [(0, 1), (1, 2), (1, 3)]
 
     def test_symmetric_in_u_and_v(self, rng):
         reps = mixed_reps(rng)
@@ -246,8 +319,9 @@ class TestScoringMatchesProcrustes:
         reps = mixed_reps(rng)
         Q = random_orthonormal(rng, reps[0][0].shape[0])
         plain = enumerate_candidates(reps)
-        turned = enumerate_candidates([(Q @ D, S) for D, S in reps])
-        for a, b in zip(plain, turned):
+        turned = {c.pair: c for c in enumerate_candidates([(Q @ D, S) for D, S in reps])}
+        for a in plain:
+            b = turned[a.pair]
             norms = np.sum((reps[a.u][0] @ reps[a.u][1]) ** 2) + \
                 np.sum((reps[a.v][0] @ reps[a.v][1]) ** 2)
             assert abs(a.cost - b.cost) <= 1e-12 * max(1.0, norms)
@@ -289,15 +363,9 @@ class TestMapsForChosenEdgesOnly:
         for c in enumerate_candidates(reps, mode="baseline"):
             assert c.cost == unaligned_distance(*reps[c.u], *reps[c.v])
 
-    def test_candidates_share_one_source(self, rng):
-        cands = enumerate_candidates(random_reps(rng, 5, 3))
-        assert all(c.source is cands[0].source for c in cands)
-        assert cands[0].source[0] == "aligned"
-        assert "source" not in repr(cands[0])
-
     def test_candidates_without_source_rejected(self):
         with pytest.raises(ValueError, match="representations"):
-            build_sheaf(select_topology(fake_candidates({(0, 1): 1.0}), 1))
+            build_sheaf(select_topology(candidate_table({(0, 1): 1.0}), 1))
 
 
 class TestInputValidation:

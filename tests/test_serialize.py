@@ -165,6 +165,32 @@ def test_non_finite_sheaf_json_rejected(tmp_path, rng, bad):
         load_sheaf(tmp_path / "sheaf.json")
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("F_tail", [1.0, 0.0, 0.0]),                  # ragged against the other map
+    ("F_head", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),  # 2-D, but not 2 x 2
+    ("F_tail", "identity"),
+])
+def test_malformed_map_names_file_and_edge(tmp_path, rng, key, bad):
+    save_sheaf(random_sheaf(rng, 3, 2, 3), tmp_path / "sheaf.json")
+    doc = json.loads((tmp_path / "sheaf.json").read_text())
+    doc["edges"][1][key] = bad
+    (tmp_path / "sheaf.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"edge 1: {key} is not 2x2 numbers") as info:
+        load_sheaf(tmp_path / "sheaf.json")
+    assert str(tmp_path / "sheaf.json") in str(info.value)
+
+
+def test_maps_of_one_wrong_length_name_file_and_edge(tmp_path, rng):
+    save_sheaf(random_sheaf(rng, 3, 2, 3), tmp_path / "sheaf.json")
+    doc = json.loads((tmp_path / "sheaf.json").read_text())
+    for edge in doc["edges"]:
+        edge["F_tail"] = edge["F_head"] = [1.0, 0.0, 0.0]
+    (tmp_path / "sheaf.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="edge 0: F_tail is not 2x2 numbers") as info:
+        load_sheaf(tmp_path / "sheaf.json")
+    assert str(tmp_path / "sheaf.json") in str(info.value)
+
+
 def test_dataset_roundtrip(tmp_path):
     ds = generate_dataset(SynthConfig(node_count=3, ambient_dim=6, dims=2,
                                       snapshots=5, seed=4))
