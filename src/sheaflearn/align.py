@@ -7,10 +7,10 @@ U Sigma V^T is the SVD of X_u X_v^T, and the achieved cost is
 u side; the v side keeps the identity (the pair is only determined up to a
 common rotation).
 
-Selection reads only the cost, so ``infer.enumerate_candidates`` scores every
-pair into one cost-sorted table of arrays without forming a map (QR-reduced
-Gram blocks, batched singular values) and ``procrustes_align`` runs only for
-the edges that are kept.
+The rules of the solve (degenerate test, F = V U^T, cost clamp, rank rule)
+live once, in the batched kernel ``_procrustes`` and its ``_edge_rule``:
+``procrustes_align`` is its one-pair call, and ``infer`` scores every pair
+through ``_edge_rule`` without a map, then solves the kept edges' maps only.
 """
 
 from __future__ import annotations
@@ -58,38 +58,44 @@ def cross_covariance(S_u: np.ndarray, S_v: np.ndarray) -> np.ndarray:
     return S_u @ S_v.T / S_u.shape[1]
 
 
+def _edge_rule(A, sigma, norms):
+    """Cost, rank and degenerate flag of P pairs from ``A`` (P, m, n), their
+    cross products or blocks with the same singular values and Frobenius
+    norms, their descending singular values ``sigma`` (P, r), zeroed in place
+    where degenerate, and ``norms`` = ||X_u||_F^2 + ||X_v||_F^2."""
+    fro = np.sqrt(np.einsum("pij,pij->p", A, A))
+    degenerate = fro <= DEGENERATE_TOL * np.maximum(1.0, norms)
+    sigma[degenerate] = 0.0
+    cost = np.maximum(0.0, norms - 2.0 * np.sum(sigma, axis=1))
+    rank = np.count_nonzero(sigma > RANK_RTOL * sigma[:, :1], axis=1)
+    return cost, rank, degenerate
+
+
+def _procrustes(A, norms):
+    """Solve the edge problems of cross products A = X_u X_v^T (P, d, d);
+    return ``(F, cost, sigma, rank, degenerate)``. F = V U^T from the full SVD
+    U Sigma V^T (fixing the null-space pairing deterministically), with no
+    determinant constraint; a degenerate pair gets the identity."""
+    U, sigma, Vt = np.linalg.svd(A)
+    cost, rank, degenerate = _edge_rule(A, sigma, norms)
+    F = np.matmul(Vt.transpose(0, 2, 1), U.transpose(0, 2, 1))
+    F[degenerate] = np.eye(A.shape[1])
+    return F, cost, sigma, rank, degenerate
+
+
 def procrustes_align(D_u, S_u, D_v, S_v, u: int = 0,
                      v: int = 1) -> tuple[np.ndarray, EdgeCandidate]:
-    """Solve the local edge problem in closed form; return ``(F, candidate)``.
-
-    The cross product A = D_u S_u S_v^T D_v^T is decomposed as U Sigma V^T
-    (full SVD, fixing the null-space pairing deterministically) and the
-    optimal map is F = V U^T in O(d); no determinant constraint is imposed.
-    A = 0 is a valid degenerate case: the identity is returned and flagged.
-    """
+    """Solve the local edge problem of one pair; return ``(F, candidate)``.
+    A = X_u X_v^T = 0 is a valid degenerate case: the identity, flagged."""
     D_u, S_u, D_v, S_v = (np.atleast_2d(np.asarray(m, float)) for m in (D_u, S_u, D_v, S_v))
     if D_u.shape[0] != D_v.shape[0]:
         raise ValueError("ambient dimensions differ between nodes")
     if S_u.shape[1] != S_v.shape[1]:
         raise ValueError("snapshot counts differ between nodes")
-    d = D_u.shape[0]
-    X_u = D_u @ S_u
-    X_v = D_v @ S_v
-    norms = float(np.sum(X_u * X_u) + np.sum(X_v * X_v))
-
-    A = X_u @ X_v.T
-    if np.linalg.norm(A) <= DEGENERATE_TOL * max(1.0, norms):
-        return np.eye(d), EdgeCandidate(
-            u=u, v=v, cost=norms, singular_values=(0.0,) * d, rank=0, degenerate=True,
-        )
-
-    U, sigma, Vt = np.linalg.svd(A)
-    F = Vt.T @ U.T
-    cost = max(0.0, norms - 2.0 * float(np.sum(sigma)))
-    rank = int(np.count_nonzero(sigma > RANK_RTOL * sigma[0]))
-    return F, EdgeCandidate(
-        u=u, v=v, cost=cost, singular_values=tuple(float(s) for s in sigma), rank=rank,
-    )
+    X_u, X_v = D_u @ S_u, D_v @ S_v
+    norms = np.sum(X_u * X_u) + np.sum(X_v * X_v)
+    F, cost, sigma, rank, degenerate = (a[0] for a in _procrustes((X_u @ X_v.T)[None], [norms]))
+    return F, EdgeCandidate(u, v, float(cost), tuple(sigma.tolist()), int(rank), bool(degenerate))
 
 
 def aligned_distance(D_u, S_u, D_v, S_v) -> float:

@@ -7,6 +7,7 @@ are deterministic given identical config and seed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -43,10 +44,28 @@ from .serialize import (
 from .synth import SynthConfig, generate_dataset
 
 
-def _load_config(path) -> dict:
+class _InputError(Exception):
+    """Bad input named on the command line: one line on stderr, exit status 2."""
+
+
+def _load_config(path, target) -> dict:
+    """The settings in JSON file ``path`` ({} without one): an object whose
+    keys name parameters of ``target`` that have a default (so cluster's
+    seed comes from ``--seed`` only). Anything else is an input error naming
+    the file and the key."""
     if path is None:
         return {}
-    return json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise _InputError(f"{path}: expected a JSON object of settings, "
+                          f"found a {type(doc).__name__}")
+    accepted = [name for name, param in inspect.signature(target).parameters.items()
+                if param.default is not param.empty]
+    for key in doc:
+        if key not in accepted:
+            raise _InputError(f"{path}: unknown key {key!r} (expected one of "
+                              f"{', '.join(accepted)})")
+    return doc
 
 
 def _write_manifest(out: Path, command: str, seed, config: dict) -> None:
@@ -67,7 +86,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_generate(args) -> int:
-    cfg_doc = _load_config(args.config)
+    cfg_doc = _load_config(args.config, SynthConfig)
     if args.seed is not None:
         cfg_doc["seed"] = args.seed
     cfg = SynthConfig(**cfg_doc)
@@ -78,10 +97,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    cfg_doc = _load_config(args.config)
-    cfg = DenoiseConfig(**{k: cfg_doc[k] for k in
-                           ("alpha", "max_iters", "rel_tol", "support_threshold")
-                           if k in cfg_doc})
+    cfg = DenoiseConfig(**_load_config(args.config, DenoiseConfig))
     dataset = load_dataset(args.data)
     codes = code_dataset(dataset, cfg)
     out = _out_dir(args)
@@ -100,10 +116,11 @@ def _edge_budget(text: str):
 
 def cmd_infer(args) -> int:
     reps = load_node_representations(args.data)
+    if len(reps) < 2:
+        raise _InputError(f"{args.data}: need at least two nodes, found {len(reps)}")
     pairs = len(reps) * (len(reps) - 1) // 2
     if args.e0 != "auto" and args.e0 > pairs:
-        print(f"--e0 {args.e0} exceeds the {pairs} node pairs", file=sys.stderr)
-        return 2
+        raise _InputError(f"--e0 {args.e0} exceeds the {pairs} node pairs")
     candidates = enumerate_candidates(reps, mode=args.mode)
     e0 = min_edges_for_connectivity(candidates) if args.e0 == "auto" else args.e0
     selection = select_topology(candidates, e0)
@@ -120,7 +137,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg_doc = _load_config(args.config)
+    cfg_doc = _load_config(args.config, SweepSpec)
     if args.seed is not None:
         cfg_doc["seed"] = args.seed
     for key in ("alpha_grid", "snr_grid", "e0_grid", "modes"):
@@ -138,7 +155,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_cluster(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    cfg_doc = _load_config(args.config)
+    cfg_doc = _load_config(args.config, run_cluster_experiment)
     report, graphs, labels = run_cluster_experiment(seed, **cfg_doc)
     out = _out_dir(args)
     report.to_csv(out / "report.csv", include_timing=args.timings)
@@ -154,60 +171,68 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+EXPORT_FORMATS = ("graphml", "dot", "csv")
+
+
 def cmd_export(args) -> int:
+    formats = args.formats.split(",")
+    for fmt in formats:
+        if fmt not in EXPORT_FORMATS:
+            raise _InputError(f"unknown export format: {fmt}")
     sheaf = load_sheaf(args.sheaf)
     out = _out_dir(args)
-    formats = args.formats.split(",")
     for fmt in formats:
         if fmt == "graphml":
             write_graphml(sheaf.node_count, sheaf.edges.tolist(), out / "sheaf.graphml")
         elif fmt == "dot":
             write_dot(sheaf.node_count, sheaf.edges.tolist(), out / "sheaf.dot")
-        elif fmt == "csv":
+        else:  # csv
             for e in range(sheaf.edge_count):
                 matrix_to_csv(sheaf.maps[e, 0], out / f"edge_{e:03d}_F_tail.csv")
                 matrix_to_csv(sheaf.maps[e, 1], out / f"edge_{e:03d}_F_head.csv")
-        else:
-            print(f"unknown export format: {fmt}", file=sys.stderr)
-            return 2
     print(f"exported {', '.join(formats)} to {out}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON config file")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
-    common.add_argument("--timings", action="store_true",
-                        help="record measured wall_ms in report.csv (non-deterministic)")
+    # each flag goes to the subcommands that read it
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="out", help="output directory")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, help="JSON config file")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="override the config seed")
+    timings = argparse.ArgumentParser(add_help=False)
+    timings.add_argument("--timings", action="store_true",
+                         help="record measured wall_ms in report.csv (non-deterministic)")
 
     parser = argparse.ArgumentParser(prog="sheaflearn",
                                      description="Learn a cellular sheaf on a graph from node data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common], help="generate a synthetic dataset")
+    p = sub.add_parser("generate", parents=[out, config, seed], help="generate a synthetic dataset")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("denoise", parents=[common], help="block-sparse code a dataset")
+    p = sub.add_parser("denoise", parents=[out, config], help="block-sparse code a dataset")
     p.add_argument("--data", required=True, help="dataset directory")
     p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("infer", parents=[common], help="infer the sheaf topology")
+    p = sub.add_parser("infer", parents=[out], help="infer the sheaf topology")
     p.add_argument("--data", required=True, help="sparse-code directory")
     p.add_argument("--mode", choices=("aligned", "baseline"), default="aligned")
     p.add_argument("--e0", type=_edge_budget, default="auto",
                    help="edge budget, or 'auto' for connectivity minimum")
     p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("sweep", parents=[common], help="TV sweep over (alpha, snr, E0)")
+    p = sub.add_parser("sweep", parents=[out, config, seed, timings],
+                       help="TV sweep over (alpha, snr, E0)")
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("cluster", parents=[common], help="two-cluster comparison experiment")
+    p = sub.add_parser("cluster", parents=[out, config, seed, timings], help="two-cluster comparison experiment")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("export", parents=[common], help="convert a sheaf JSON to other formats")
+    p = sub.add_parser("export", parents=[out], help="convert a sheaf JSON to other formats")
     p.add_argument("--sheaf", required=True, help="sheaf JSON file")
     p.add_argument("--formats", default="graphml,dot", help="comma-separated: graphml,dot,csv")
     p.set_defaults(func=cmd_export)
@@ -216,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as err:
+        print(err, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Global topology selection: score every candidate edge, sort by local
 alignment cost, take the cheapest E0 (or the minimum needed for connectivity),
 and assemble the learned sheaf, solving restriction maps for the kept edges
-only.
+only. Both steps take the alignment rules from ``align``'s batched kernel.
 
 The combinatorial objective sum_e a_e * cost_e with ||a||_0 = E0 is separable,
 so the sorted-prefix greedy is exact.
@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .align import DEGENERATE_TOL, RANK_RTOL, EdgeCandidate, procrustes_align
-from .align import unaligned_distance  # noqa: F401  (the reference for baseline costs)
+from .align import EdgeCandidate, _edge_rule, _procrustes
+from .align import procrustes_align, unaligned_distance  # noqa: F401  (the one-pair references)
 from .core import EDGE_CHUNK, Sheaf, make_sheaf
 
 MODES = ("aligned", "baseline")
@@ -128,8 +128,8 @@ def _score_aligned(reps) -> Candidates:
     Blocks are zero-padded to one size, which leaves the singular values
     unchanged, and decomposed in batches of at most EDGE_CHUNK pairs (u, v)
     with one u, each batch from one matrix product; no Gram matrix of all
-    nodes is formed. Norms, the degenerate test and the rank rule are those
-    of ``procrustes_align``.
+    nodes is formed. Cost, rank and the degenerate flag come from
+    ``align._edge_rule``, as in ``procrustes_align``.
     """
     d = reps[0][0].shape[0]
     norms = np.array([np.sum(X * X) for X in (b @ s for b, s in reps)])
@@ -151,16 +151,10 @@ def _score_aligned(reps) -> Candidates:
             blocks = buf[:vs.size]
             np.matmul(rows[lo * kmax:(vs[-1] + 1) * kmax], B[u].T,
                       out=blocks.reshape(-1, kmax))
-            pair_norms = norms[u] + norms[vs]
-            fro = np.sqrt(np.einsum("pij,pij->p", blocks, blocks))
-            degenerate = fro <= DEGENERATE_TOL * np.maximum(1.0, pair_norms)
             sigma = np.zeros((vs.size, d))
             sigma[:, :kmax] = np.linalg.svd(blocks, compute_uv=False)
-            sigma[(np.arange(d) >= np.minimum(k[u], k[vs])[:, None]) | degenerate[:, None]] = 0.0
-            cost = np.where(degenerate, pair_norms,
-                            np.maximum(0.0, pair_norms - 2.0 * np.sum(sigma, axis=1)))
-            rank = np.count_nonzero(sigma > RANK_RTOL * sigma[:, :1], axis=1)
-            chunks.append((cost, rank, degenerate, sigma))
+            sigma[np.arange(d) >= np.minimum(k[u], k[vs])[:, None]] = 0.0
+            chunks.append((*_edge_rule(blocks, sigma, norms[u] + norms[vs]), sigma))
     # the chunks hold the pairs in np.triu_indices order
     return Candidates(*np.triu_indices(V, 1), *map(np.concatenate, zip(*chunks)),
                       "aligned", reps)
@@ -215,12 +209,14 @@ def select_topology(candidates: Candidates, E0: int) -> EdgeSelection:
 def build_sheaf(selection: EdgeSelection) -> Sheaf:
     """Assemble the learned sheaf from the winning candidates.
 
-    Maps are solved here, for the selected edges only: aligned candidates
-    get F from ``procrustes_align`` on the representations they were scored
-    from, baseline candidates the identity. F sits on the candidate's u side
-    (the tail under the min-first orientation); the head side of the map
-    stack is the identity. Every node gets the full ambient dimension as its
-    stalk.
+    Maps are solved here, for the selected edges only. Aligned candidates
+    get F from the batched kernel ``align._procrustes``, EDGE_CHUNK edges
+    per call, on the representations they were scored from: each
+    X_u = D_u S_u is formed once, and every F equals ``procrustes_align``'s
+    bit for bit. Baseline candidates get the identity. F sits on the
+    candidate's u side (the tail under the min-first orientation); the head
+    side of the map stack is the identity. Every node gets the full ambient
+    dimension as its stalk.
     """
     table = selection.candidates
     if table.reps is None:
@@ -231,6 +227,11 @@ def build_sheaf(selection: EdgeSelection) -> Sheaf:
     maps = np.empty((selection.E0, 2, d, d))
     maps[:] = np.eye(d)
     if table.mode == "aligned":
-        for e, (u, v) in enumerate(selection.selected):
-            maps[e, 0] = procrustes_align(*reps[u], *reps[v])[0]
+        X = np.stack([b @ s for b, s in reps])
+        sq = np.array([np.sum(x * x) for x in X])
+        u, v = table.u[:selection.E0], table.v[:selection.E0]
+        for lo in range(0, selection.E0, EDGE_CHUNK):
+            us, vs = u[lo:lo + EDGE_CHUNK], v[lo:lo + EDGE_CHUNK]
+            maps[lo:lo + EDGE_CHUNK, 0] = _procrustes(X[us] @ X[vs].transpose(0, 2, 1),
+                                                      sq[us] + sq[vs])[0]
     return make_sheaf(len(reps), d, selection.selected, maps)

@@ -179,3 +179,74 @@ def test_sweep_threads_match(tmp_path):
                  "--threads", "4"]) == 0
     assert (tmp_path / "s1" / "report.csv").read_bytes() == \
         (tmp_path / "s4" / "report.csv").read_bytes()
+
+
+# flags that a subcommand does not read are usage errors
+@pytest.mark.parametrize("command, flag", [
+    ("infer", ["--config", "c.json"]), ("export", ["--config", "c.json"]),
+    ("denoise", ["--seed", "99"]), ("infer", ["--seed", "99"]), ("export", ["--seed", "99"]),
+    ("generate", ["--threads", "7"]), ("denoise", ["--threads", "7"]),
+    ("infer", ["--threads", "7"]), ("cluster", ["--threads", "7"]),
+    ("export", ["--threads", "7"]),
+    ("generate", ["--timings"]), ("denoise", ["--timings"]), ("infer", ["--timings"]),
+    ("export", ["--timings"]),
+])
+def test_flag_not_read_by_subcommand_rejected(tmp_path, capsys, command, flag):
+    required = {"denoise": ["--data", "d"], "infer": ["--data", "d"],
+                "export": ["--sheaf", "s.json"]}.get(command, [])
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([command, *required, *flag, "--out", str(out)])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+CONFIG_COMMANDS = {"generate": [], "denoise": ["--data", "no_data"], "sweep": [],
+                   "cluster": []}
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("generate", {"node_count": 4, "nodes": 4}, "nodes"),
+    ("denoise", {"alpah": 0.0}, "alpah"),
+    ("sweep", {"alpha_grid": [0.5], "e0s": [1]}, "e0s"),
+    ("cluster", {"snapshots": 64, "snr": 10.0}, "snr"),
+    ("cluster", {"seed": 3}, "seed"),
+])
+def test_unknown_config_key_rejected_before_writing(tmp_path, capsys, command, doc, key):
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    out = tmp_path / "out"
+    assert main([command, *CONFIG_COMMANDS[command], "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"{cfg}: unknown key {key!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+def test_config_that_is_not_an_object_rejected(tmp_path, capsys, command):
+    cfg = write_json(tmp_path / "cfg.json", [{"alpha": 1.0}])
+    out = tmp_path / "out"
+    assert main([command, *CONFIG_COMMANDS[command], "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{cfg}: expected a JSON object of settings, found a list\n"
+    assert not out.exists()
+
+
+def test_export_checks_every_format_before_writing(tmp_path, capsys):
+    cfg = write_json(tmp_path / "gen.json", GEN_CFG)
+    _, _, inferred = run_pipeline(tmp_path, "a", cfg)
+    out = tmp_path / "export"
+    assert main(["export", "--sheaf", str(inferred / "sheaf.json"),
+                 "--out", str(out), "--formats", "graphml,bogus"]) == 2
+    assert capsys.readouterr().err == "unknown export format: bogus\n"
+    assert not out.exists()
+
+
+def test_infer_on_one_node_is_an_input_error(tmp_path, capsys):
+    cfg = write_json(tmp_path / "gen.json", {**GEN_CFG, "node_count": 1})
+    data, codes, out = tmp_path / "data", tmp_path / "codes", tmp_path / "inferred"
+    assert main(["generate", "--config", cfg, "--out", str(data)]) == 0
+    assert main(["denoise", "--data", str(data), "--out", str(codes)]) == 0
+    assert main(["infer", "--data", str(codes), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{codes}: need at least two nodes, found 1\n"
+    assert not out.exists()

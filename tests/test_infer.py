@@ -13,6 +13,7 @@ from sheaflearn import (
     select_topology,
     total_variation,
 )
+import sheaflearn.align as align
 import sheaflearn.infer as infer
 from sheaflearn.infer import MODES
 from sheaflearn.align import EdgeCandidate, procrustes_align, unaligned_distance
@@ -330,33 +331,56 @@ class TestScoringMatchesProcrustes:
 
 class TestMapsForChosenEdgesOnly:
     def counting(self, monkeypatch):
-        calls = []
-        original = infer.procrustes_align
+        """Count the pairs the batched Procrustes kernel solves, through
+        either module's binding of it."""
+        solved = []
+        original = align._procrustes
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counted(A, norms):
+            solved.append(len(A))
+            return original(A, norms)
 
-        monkeypatch.setattr(infer, "procrustes_align", counted)
-        return calls
+        monkeypatch.setattr(align, "_procrustes", counted)
+        monkeypatch.setattr(infer, "_procrustes", counted)
+        return solved
 
     def test_maps_solved_only_for_selected_edges(self, rng, monkeypatch):
-        calls = self.counting(monkeypatch)
+        solved = self.counting(monkeypatch)
         reps = mixed_reps(rng)
         cands = enumerate_candidates(reps)
-        assert len(calls) == 0
+        assert sum(solved) == 0
         selection = select_topology(cands, 40)
         sheaf = build_sheaf(selection)
-        assert len(calls) == 40
+        assert sum(solved) == 40
         for e, (u, v) in enumerate(sheaf.edges.tolist()):
             F, _ = procrustes_align(*reps[u], *reps[v])
             assert np.array_equal(sheaf.maps[e, 0], F)
             assert np.array_equal(sheaf.maps[e, 1], np.eye(6))
 
     def test_baseline_solves_no_map(self, rng, monkeypatch):
-        calls = self.counting(monkeypatch)
+        solved = self.counting(monkeypatch)
         build_sheaf(select_topology(enumerate_candidates(mixed_reps(rng), "baseline"), 30))
-        assert len(calls) == 0
+        assert sum(solved) == 0
+
+    @pytest.mark.parametrize("E0", [13, 21])
+    def test_maps_solved_in_slices_equal_one_pair_solves(self, rng, monkeypatch, E0):
+        # slices of 4 with a partial last one; E0 = 21 keeps every pair,
+        # including the 11 degenerate ones of the empty-support node 2 and
+        # of node 5, whose tiny cross products are not exactly zero
+        monkeypatch.setattr(infer, "EDGE_CHUNK", 4)
+        reps = random_reps(rng, 7, 5)
+        reps[2] = (np.zeros((5, 0)), np.zeros((0, 8)))
+        reps[5] = (reps[5][0], 1e-16 * reps[5][1])
+        cands = enumerate_candidates(reps)
+        sheaf = build_sheaf(select_topology(cands, E0))
+        assert sheaf.edge_count == E0
+        for e, (u, v) in enumerate(sheaf.edges.tolist()):
+            F, ref = procrustes_align(*reps[u], *reps[v])
+            assert np.array_equal(sheaf.maps[e, 0], F)
+            assert ref.degenerate == cands.degenerate[e] == bool({2, 5} & {u, v})
+            if ref.degenerate:
+                assert np.array_equal(sheaf.maps[e, 0], np.eye(5))
+        assert 0 < cands.degenerate[:E0].sum() <= 11 == cands.degenerate.sum()
 
     def test_baseline_costs_equal_unaligned_distance(self, rng):
         reps = mixed_reps(rng)
