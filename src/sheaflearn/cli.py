@@ -10,6 +10,7 @@ import argparse
 import inspect
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -41,21 +42,35 @@ from .serialize import (
     write_dot,
     write_graphml,
 )
-from .synth import SynthConfig, generate_dataset
+from .synth import SynthConfig, _check_protocol, generate_dataset
 
 
 class _InputError(Exception):
     """Bad input named on the command line: one line on stderr, exit status 2."""
 
 
-def _load_config(path, target) -> dict:
-    """The settings in JSON file ``path`` ({} without one): an object whose
-    keys name parameters of ``target`` that have a default (so cluster's
-    seed comes from ``--seed`` only). Anything else is an input error naming
-    the file and the key."""
-    if path is None:
-        return {}
-    doc = json.loads(Path(path).read_text())
+@contextmanager
+def _input(path):
+    """Turns an OSError, KeyError, TypeError or ValueError into an input error naming path."""
+    try:
+        yield
+    except OSError as err:
+        raise _InputError(f"{err.filename or path}: {err.strerror}") from None
+    except KeyError as err:
+        raise _InputError(f"{path}: no {err} entry") from None
+    except (TypeError, ValueError) as err:
+        message = str(err)  # a reader's own message may name the file already
+        if path is not None and not message.startswith(str(path)):
+            message = f"{path}: {message}"
+        raise _InputError(message) from None
+
+
+def _load_config(path, target, seed=None) -> dict:
+    """The settings in JSON file ``path`` ({} without one), with ``seed`` set
+    when given: an object whose keys name parameters of ``target`` that have
+    a default (so cluster's seed comes from ``--seed`` only), read and built
+    under ``_input``. Anything else is an input error naming the file and the key."""
+    doc = {} if path is None else json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise _InputError(f"{path}: expected a JSON object of settings, "
                           f"found a {type(doc).__name__}")
@@ -65,6 +80,8 @@ def _load_config(path, target) -> dict:
         if key not in accepted:
             raise _InputError(f"{path}: unknown key {key!r} (expected one of "
                               f"{', '.join(accepted)})")
+    if seed is not None:
+        doc["seed"] = seed
     return doc
 
 
@@ -86,10 +103,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_generate(args) -> int:
-    cfg_doc = _load_config(args.config, SynthConfig)
-    if args.seed is not None:
-        cfg_doc["seed"] = args.seed
-    cfg = SynthConfig(**cfg_doc)
+    with _input(args.config):
+        cfg = SynthConfig(**_load_config(args.config, SynthConfig, args.seed))
     out = _out_dir(args)
     save_dataset(generate_dataset(cfg), out)
     print(f"wrote dataset ({cfg.node_count} nodes, {cfg.snapshots} snapshots) to {out}")
@@ -97,8 +112,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    cfg = DenoiseConfig(**_load_config(args.config, DenoiseConfig))
-    dataset = load_dataset(args.data)
+    with _input(args.config):
+        cfg = DenoiseConfig(**_load_config(args.config, DenoiseConfig))
+    with _input(args.data):
+        dataset = load_dataset(args.data)
     codes = code_dataset(dataset, cfg)
     out = _out_dir(args)
     save_sparse_codes(codes, out)
@@ -115,7 +132,8 @@ def _edge_budget(text: str):
 
 
 def cmd_infer(args) -> int:
-    reps = load_node_representations(args.data)
+    with _input(args.data):
+        reps = load_node_representations(args.data)
     if len(reps) < 2:
         raise _InputError(f"{args.data}: need at least two nodes, found {len(reps)}")
     pairs = len(reps) * (len(reps) - 1) // 2
@@ -137,13 +155,9 @@ def cmd_infer(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg_doc = _load_config(args.config, SweepSpec)
-    if args.seed is not None:
-        cfg_doc["seed"] = args.seed
-    for key in ("alpha_grid", "snr_grid", "e0_grid", "modes"):
-        if key in cfg_doc and cfg_doc[key] is not None:
-            cfg_doc[key] = tuple(cfg_doc[key])
-    spec = SweepSpec(**cfg_doc)
+    with _input(args.config):
+        cfg_doc = _load_config(args.config, SweepSpec, args.seed)
+        spec = SweepSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in cfg_doc.items()})
     report = run_tv_sweep(spec, threads=args.threads)
     out = _out_dir(args)
     report.to_csv(out / "report.csv", include_timing=args.timings)
@@ -155,7 +169,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_cluster(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    cfg_doc = _load_config(args.config, run_cluster_experiment)
+    with _input(args.config):
+        cfg_doc = _load_config(args.config, run_cluster_experiment)
+        # the checks the experiment makes, before it draws any data
+        call = inspect.signature(run_cluster_experiment).bind(seed, **cfg_doc)
+        call.apply_defaults()
+        DenoiseConfig(alpha=call.arguments["alpha"])
+        _check_protocol(*(call.arguments[k] for k in ("seed", "snapshots", "rho", "snr_db")))
     report, graphs, labels = run_cluster_experiment(seed, **cfg_doc)
     out = _out_dir(args)
     report.to_csv(out / "report.csv", include_timing=args.timings)
@@ -179,7 +199,8 @@ def cmd_export(args) -> int:
     for fmt in formats:
         if fmt not in EXPORT_FORMATS:
             raise _InputError(f"unknown export format: {fmt}")
-    sheaf = load_sheaf(args.sheaf)
+    with _input(args.sheaf):
+        sheaf = load_sheaf(args.sheaf)
     out = _out_dir(args)
     for fmt in formats:
         if fmt == "graphml":

@@ -192,14 +192,6 @@ class Cochain0:
             if not np.all(np.isfinite(b)):
                 raise SheafStructureError(f"cochain block {u} has non-finite entries")
 
-    @property
-    def snapshots(self) -> int:
-        return self.blocks[0].shape[1]
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.vstack(self.blocks)
-
 
 @dataclass(frozen=True)
 class SheafLaplacian:
@@ -228,13 +220,21 @@ class SheafLaplacian:
         return assemble_incidence(self.sheaf)
 
 
-def _check_cochain(sheaf: Sheaf, x: Cochain0) -> None:
-    if len(x.blocks) != sheaf.node_count:
-        raise SheafStructureError("cochain block count != node count")
-    d = sheaf.ambient_dim
-    for u, b in enumerate(x.blocks):
-        if b.shape[0] != d:
-            raise SheafStructureError(f"cochain block {u} has {b.shape[0]} rows, expected {d}")
+def _node_signals(sheaf: Sheaf, x) -> np.ndarray:
+    """A ``total_variation`` signal as a (V, d, N) stack of node blocks; a
+    shape that does not fit, or a non-finite entry, raises SheafStructureError."""
+    V, d = sheaf.node_count, sheaf.ambient_dim
+    if isinstance(x, Cochain0):  # its entries were checked when it was built
+        if [b.shape[0] for b in x.blocks] != [d] * V:
+            raise SheafStructureError(f"cochain blocks do not fit {V} nodes of dimension {d}")
+        return np.stack(x.blocks)
+    X = np.asarray(x, float)
+    X = X.reshape(-1, 1) if X.ndim < 2 else X
+    if X.ndim != 2 or X.shape[0] != V * d:
+        raise SheafStructureError(f"signal has shape {np.shape(x)}, Laplacian dim is {V * d}")
+    if not np.all(np.isfinite(X)):
+        raise SheafStructureError("signal has non-finite entries")
+    return X.reshape(V, d, X.shape[1])
 
 
 def _edge_residuals(edges: np.ndarray, maps: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -287,22 +287,18 @@ def _assemble_dense(sheaf: Sheaf) -> np.ndarray:
     return L
 
 
-def coboundary_apply(sheaf: Sheaf, x: Cochain0) -> list[np.ndarray]:
-    """Apply the coboundary edge-wise: block e = F_tail x_tail - F_head x_head."""
-    _check_cochain(sheaf, x)
-    return list(_edge_residuals(sheaf.edges, sheaf.maps, np.stack(x.blocks)))
+def coboundary_apply(sheaf: Sheaf, x) -> list[np.ndarray]:
+    """Apply the coboundary edge-wise: block e = F_tail x_tail - F_head x_head.
+    ``x`` is any signal ``total_variation`` accepts."""
+    return list(_edge_residuals(sheaf.edges, sheaf.maps, _node_signals(sheaf, x)))
 
 
 def total_variation(L: SheafLaplacian, x) -> float:
     """Quadratic form tr(X^T L X), summed edge by edge as the squared edge
-    disagreements ||F_tail x_tail - F_head x_head||^2."""
-    X = x.stacked if isinstance(x, Cochain0) else np.atleast_2d(np.asarray(x, float))
-    if X.shape[0] != L.dim:
-        raise SheafStructureError(f"signal has {X.shape[0]} rows, Laplacian dim is {L.dim}")
-    if not np.all(np.isfinite(X)):
-        raise SheafStructureError("signal has non-finite entries")
+    disagreements ||F_tail x_tail - F_head x_head||^2. ``x`` is a
+    ``Cochain0``, a (V*d) x N array, or a length-V*d vector (x^T L x)."""
     sheaf = L.sheaf
-    xb = X.reshape(sheaf.node_count, sheaf.ambient_dim, X.shape[1])
+    xb = _node_signals(sheaf, x)
     tv = 0.0
     for start in range(0, sheaf.edge_count, EDGE_CHUNK):
         chunk = slice(start, start + EDGE_CHUNK)

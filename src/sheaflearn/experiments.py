@@ -9,6 +9,7 @@ is covered by the cross-module tests.
 
 from __future__ import annotations
 
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .denoise import DenoiseConfig, code_dataset
-from .infer import enumerate_candidates, min_edges_for_connectivity
+from .infer import MODES, enumerate_candidates, min_edges_for_connectivity, select_topology
 from .plots import svg_line_chart
 from .synth import SynthConfig, generate_cluster_scenario, generate_dataset
 
@@ -43,6 +44,23 @@ class SweepSpec:
     def __post_init__(self):
         if not self.alpha_grid or not self.snr_grid or not self.modes:
             raise ValueError("grids must be nonempty")
+        if operator.index(self.node_count) < 2:
+            raise ValueError("a sweep needs at least two nodes")
+        pairs = self.node_count * (self.node_count - 1) // 2
+        if not all(0 <= operator.index(e0) <= pairs for e0 in self.e0_grid or ()):
+            raise ValueError(f"every E0 must lie in [0, {pairs}], the node pair count")
+        if not set(self.modes) <= set(MODES):
+            raise ValueError(f"modes must be among {MODES}")
+        # what every grid point builds, checked before any data is drawn
+        for alpha in self.alpha_grid:
+            DenoiseConfig(alpha=alpha)
+        for snr_db in self.snr_grid:
+            self._synth_config(snr_db, self.seed)
+
+    def _synth_config(self, snr_db: float, seed: int) -> SynthConfig:
+        return SynthConfig(node_count=self.node_count, ambient_dim=self.ambient_dim,
+                           dims=self.dims, snapshots=self.snapshots, rho=self.rho,
+                           snr_db=snr_db, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -109,8 +127,6 @@ def _sweep_point(spec: SweepSpec, alpha: float, snr_db: float, dataset) -> list[
     for mode, cands in per_mode.items():
         conn = min_edges_for_connectivity(cands)
         for e0 in e0_values:
-            if not (0 <= e0 <= len(cands)):
-                raise ValueError(f"E0 = {e0} out of range for {len(cands)} candidates")
             rows.append(ReportRow(
                 mode=mode, alpha=alpha, snr_db=snr_db, e0=e0,
                 total_variation=float(cands.tv_prefix[e0]),
@@ -127,18 +143,8 @@ def run_tv_sweep(spec: SweepSpec, threads: int = 1) -> RunReport:
         len(spec.snr_grid), dtype=np.uint64) >> 1]
     # the data depends on (snr, seed) only: one dataset per SNR, read by every
     # alpha, generated as the points reach it (all at once when threaded)
-    datasets = (
-        generate_dataset(SynthConfig(
-            node_count=spec.node_count,
-            ambient_dim=spec.ambient_dim,
-            dims=spec.dims,
-            snapshots=spec.snapshots,
-            rho=spec.rho,
-            snr_db=snr,
-            seed=seed,
-        ))
-        for snr, seed in zip(spec.snr_grid, data_seeds)
-    )
+    datasets = (generate_dataset(spec._synth_config(snr, seed))
+                for snr, seed in zip(spec.snr_grid, data_seeds))
     points = (
         (alpha, snr, dataset)
         for snr, dataset in zip(spec.snr_grid, datasets)
@@ -162,8 +168,6 @@ def run_cluster_experiment(seed: int, alpha: float = 8.0, snapshots: int = 512,
     """Two-cluster comparison: infer the topology in both modes at each
     mode's own connectivity-minimum E0 and score the intra-cluster edge
     fraction. Returns (report, {mode: selection}, labels)."""
-    from .infer import select_topology
-
     t0 = time.perf_counter()
     dataset = generate_cluster_scenario(seed, snapshots=snapshots, rho=rho, snr_db=snr_db)
     labels = dataset.cluster_labels

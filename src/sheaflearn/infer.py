@@ -48,13 +48,19 @@ class Candidates:
     def __len__(self) -> int:
         return self.cost.size
 
+    def _rows(self, pick):
+        """The rows at ``pick``, a slice or a list of indices, one at a time."""
+        return map(EdgeCandidate, self.u[pick].tolist(), self.v[pick].tolist(),
+                   self.cost[pick].tolist(), map(tuple, self.sigma[pick].tolist()),
+                   self.rank[pick].tolist(), self.degenerate[pick].tolist())
+
     def __iter__(self):
-        return map(EdgeCandidate, self.u.tolist(), self.v.tolist(), self.cost.tolist(),
-                   map(tuple, self.sigma.tolist()), self.rank.tolist(),
-                   self.degenerate.tolist())
+        return self._rows(slice(None))
 
     def __getitem__(self, index):
-        return list(self)[index]  # rows are built on demand, as in iteration
+        if isinstance(index, slice):
+            return list(self._rows(index))
+        return next(self._rows([range(len(self))[index]]))  # range checks the index
 
     @cached_property
     def connected_at(self) -> int:

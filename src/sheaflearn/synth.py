@@ -13,6 +13,8 @@ requested per-node SNR.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +38,22 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.node_count < 1 or self.ambient_dim < 1 or self.snapshots < 1:
-            raise ValueError("node_count, ambient_dim and snapshots must be positive")
-        if not (0.0 <= self.rho <= 1.0):
-            raise ValueError("rho must lie in [0, 1]")
+        if operator.index(self.node_count) < 1 or operator.index(self.ambient_dim) < 1:
+            raise ValueError("node_count and ambient_dim must be positive")
+        _check_protocol(self.seed, self.snapshots, self.rho, self.snr_db)
+        _resolve_dims(self)
+
+
+def _check_protocol(seed: int, snapshots: int, rho: float, snr_db: float) -> None:
+    """Checks the inputs both protocols take (snr_db = +inf adds no noise)."""
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if operator.index(snapshots) < 1:
+        raise ValueError(f"snapshots must be positive, got {snapshots}")
+    if not (0.0 <= rho <= 1.0):
+        raise ValueError("rho must lie in [0, 1]")
+    if not snr_db > -math.inf:
+        raise ValueError("snr_db must be a number above -inf")
 
 
 @dataclass(frozen=True)
@@ -72,24 +86,24 @@ class Dataset:
         return self.nodes[0].observations.shape[0]
 
     @property
-    def snapshots(self) -> int:
-        return self.nodes[0].observations.shape[1]
-
-    @property
     def cluster_labels(self) -> tuple[int, ...] | None:
         labels = tuple(n.cluster for n in self.nodes)
         return None if any(l is None for l in labels) else labels
 
 
-def _resolve_dims(cfg: SynthConfig, rng: np.random.Generator) -> list[int]:
+def _resolve_dims(cfg: SynthConfig, rng: np.random.Generator | None = None) -> list[int]:
+    """Every node's subspace dimension; a sampler spec's, without ``rng``, are its bounds."""
     dims = cfg.dims
     if isinstance(dims, int):
-        out = [dims] * cfg.node_count
+        out = [operator.index(dims)] * cfg.node_count
     elif isinstance(dims, (tuple, list)) and len(dims) == 3 and dims[0] == "uniform":
-        lo, hi = int(dims[1]), int(dims[2])
-        out = [int(k) for k in rng.integers(lo, hi + 1, size=cfg.node_count)]
+        lo, hi = operator.index(dims[1]), operator.index(dims[2])
+        if lo > hi:
+            raise ValueError(f"dims sampler range [{lo}, {hi}] is empty")
+        out = [lo, hi] if rng is None else [
+            int(k) for k in rng.integers(lo, hi + 1, size=cfg.node_count)]
     else:
-        out = [int(k) for k in dims]
+        out = [operator.index(k) for k in dims]
         if len(out) != cfg.node_count:
             raise ValueError("per-node dims length must equal node_count")
     if any(not (0 < k <= cfg.ambient_dim) for k in out):
@@ -100,12 +114,35 @@ def _resolve_dims(cfg: SynthConfig, rng: np.random.Generator) -> list[int]:
 def _add_noise(clean: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """White Gaussian noise rescaled so the realized Frobenius SNR is exact."""
     raw = rng.standard_normal(clean.shape)
-    clean_norm = np.linalg.norm(clean)
-    raw_norm = np.linalg.norm(raw)
+    clean_norm, raw_norm = np.linalg.norm(clean), np.linalg.norm(raw)
     if clean_norm == 0.0 or raw_norm == 0.0:
         return clean.copy()
     scale = clean_norm / (raw_norm * 10.0 ** (snr_db / 20.0))
     return clean + scale * raw
+
+
+def _generate(generator: str, seed: int, node_count: int, d: int, n: int, rho: float,
+              snr_db: float, draw_shared, own_basis: bool, labels=None) -> Dataset:
+    """The draw of both protocols. ``draw_shared`` takes the shared stream and
+    returns the per-node dimensions and ``shared_rows(u, support)``; node u's
+    stream draws its basis (QR if ``own_basis``), support, private rows, noise."""
+    _check_protocol(seed, n, rho, snr_db)
+    shared_ss, *node_ss = np.random.SeedSequence(seed).spawn(node_count + 1)
+    dims, shared_rows = draw_shared(np.random.default_rng(shared_ss))
+    eye = np.eye(d)  # one array, the dictionary of every node without its own basis
+    mix = np.sqrt(max(0.0, 1.0 - rho ** 2))
+    nodes = []
+    for u in range(node_count):
+        rng = np.random.default_rng(node_ss[u])
+        basis = np.linalg.qr(rng.standard_normal((d, d)))[0] if own_basis else eye
+        support = np.sort(rng.choice(d, size=dims[u], replace=False))
+        S = np.zeros((d, n))
+        S[support, :] = rho * shared_rows(u, support) + mix * rng.standard_normal((dims[u], n))
+        nodes.append(NodeData(_add_noise(basis @ S, snr_db, rng), basis, tuple(support.tolist()),
+                              S, None if labels is None else labels[u]))
+    return Dataset(tuple(nodes), seed, {
+        "generator": generator, "node_count": node_count, "ambient_dim": d,
+        "dims": dims, "snapshots": n, "rho": rho, "snr_db": snr_db})
 
 
 def generate_dataset(cfg: SynthConfig) -> Dataset:
@@ -117,42 +154,13 @@ def generate_dataset(cfg: SynthConfig) -> Dataset:
     projection onto the sampled coordinates. Coordinates shared by two nodes
     therefore carry correlation rho^2 between their coefficient streams.
     """
-    root = np.random.SeedSequence(cfg.seed)
-    shared_ss, *node_ss = root.spawn(cfg.node_count + 1)
-    shared_rng = np.random.default_rng(shared_ss)
+    def draw_shared(rng):
+        dims = _resolve_dims(cfg, rng)
+        latent = rng.standard_normal((cfg.ambient_dim, cfg.snapshots))
+        return dims, lambda u, support: latent[support, :]
 
-    d, n = cfg.ambient_dim, cfg.snapshots
-    dims = _resolve_dims(cfg, shared_rng)
-    latent = shared_rng.standard_normal((d, n))
-    dictionary = np.eye(d)
-    mix = np.sqrt(max(0.0, 1.0 - cfg.rho ** 2))
-
-    nodes = []
-    for u in range(cfg.node_count):
-        rng = np.random.default_rng(node_ss[u])
-        support = np.sort(rng.choice(d, size=dims[u], replace=False))
-        S = np.zeros((d, n))
-        S[support, :] = cfg.rho * latent[support, :] + mix * rng.standard_normal((dims[u], n))
-        clean = dictionary @ S
-        nodes.append(NodeData(
-            observations=_add_noise(clean, cfg.snr_db, rng),
-            dictionary=dictionary,
-            support=tuple(int(i) for i in support),
-            clean_coeffs=S,
-        ))
-    return Dataset(
-        nodes=tuple(nodes),
-        seed=cfg.seed,
-        params={
-            "generator": "coordinate_subspaces",
-            "node_count": cfg.node_count,
-            "ambient_dim": d,
-            "dims": dims,
-            "snapshots": n,
-            "rho": cfg.rho,
-            "snr_db": cfg.snr_db,
-        },
-    )
+    return _generate("coordinate_subspaces", cfg.seed, cfg.node_count, cfg.ambient_dim,
+                     cfg.snapshots, cfg.rho, cfg.snr_db, draw_shared, own_basis=False)
 
 
 def generate_cluster_scenario(
@@ -170,48 +178,12 @@ def generate_cluster_scenario(
     latent into their coefficient rows with weight rho, which makes same-
     dimension nodes correlated while their bases stay unrelated.
     """
-    node_count, d = 16, 64
-    dims = [10] * 8 + [40] * 8
     labels = [0] * 8 + [1] * 8
 
-    root = np.random.SeedSequence(seed)
-    shared_ss, *node_ss = root.spawn(node_count + 1)
-    shared_rng = np.random.default_rng(shared_ss)
-    cluster_latent = {
-        0: shared_rng.standard_normal((10, snapshots)),
-        1: shared_rng.standard_normal((40, snapshots)),
-    }
-    mix = np.sqrt(max(0.0, 1.0 - rho ** 2))
-
-    nodes = []
-    for u in range(node_count):
-        rng = np.random.default_rng(node_ss[u])
-        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        support = np.sort(rng.choice(d, size=dims[u], replace=False))
-        S = np.zeros((d, snapshots))
+    def draw_shared(rng):
+        latent = [rng.standard_normal((10, snapshots)), rng.standard_normal((40, snapshots))]
         # support row j pairs with latent row j across the whole cluster
-        S[support, :] = (
-            rho * cluster_latent[labels[u]]
-            + mix * rng.standard_normal((dims[u], snapshots))
-        )
-        clean = basis @ S
-        nodes.append(NodeData(
-            observations=_add_noise(clean, snr_db, rng),
-            dictionary=basis,
-            support=tuple(int(i) for i in support),
-            clean_coeffs=S,
-            cluster=labels[u],
-        ))
-    return Dataset(
-        nodes=tuple(nodes),
-        seed=seed,
-        params={
-            "generator": "two_cluster_subspaces",
-            "node_count": node_count,
-            "ambient_dim": d,
-            "dims": dims,
-            "snapshots": snapshots,
-            "rho": rho,
-            "snr_db": snr_db,
-        },
-    )
+        return [10] * 8 + [40] * 8, lambda u, support: latent[labels[u]]
+
+    return _generate("two_cluster_subspaces", seed, 16, 64, snapshots, rho, snr_db,
+                     draw_shared, own_basis=True, labels=labels)

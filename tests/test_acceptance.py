@@ -175,28 +175,31 @@ def test_criterion_7_cluster_reproduction():
         assert wins >= 18, f"aligned won only {wins}/20 seeds"
 
 
-def test_criterion_8_denoiser_optimality():
-    cvxpy = pytest.importorskip("cvxpy")
+def denoise_problems():
+    """Criterion 8's 20 random l2,1 problems, each with its ISTA code, then
+    the generator they were drawn from."""
     rng = np.random.default_rng(1008)
-    with criterion(8, "l2,1 objective matches a high-precision convex oracle"):
-        for _ in range(20):
-            d = int(rng.integers(3, 6))
-            k = int(rng.integers(3, 7))
-            n = int(rng.integers(3, 8))
-            alpha = float(rng.uniform(0.1, 1.5))
-            D = Dictionary(rng.standard_normal((d, k)))
-            X = rng.standard_normal((d, n))
-            code = block_sparse_code(
-                X, D, DenoiseConfig(alpha=alpha, rel_tol=1e-14, max_iters=200_000))
+    problems = []
+    for _ in range(20):
+        d = int(rng.integers(3, 6))
+        k = int(rng.integers(3, 7))
+        n = int(rng.integers(3, 8))
+        alpha = float(rng.uniform(0.1, 1.5))
+        D = Dictionary(rng.standard_normal((d, k)))
+        X = rng.standard_normal((d, n))
+        code = block_sparse_code(
+            X, D, DenoiseConfig(alpha=alpha, rel_tol=1e-14, max_iters=200_000))
+        problems.append((X, D, alpha, code))
+    return problems, rng
+
+
+def test_criterion_8_denoiser_descent_and_least_squares():
+    # the checks of criterion 8 that need no convex solver
+    problems, rng = denoise_problems()
+    with criterion(8, "ISTA descends monotonically; alpha = 0 is exact least squares"):
+        for _, _, _, code in problems:
             trace = np.array(code.objective_trace)
             assert np.all(trace[1:] <= trace[:-1] + 1e-12)
-
-            S = cvxpy.Variable((k, n))
-            problem = cvxpy.Problem(cvxpy.Minimize(
-                cvxpy.sum_squares(X - D.atoms @ S)
-                + alpha * cvxpy.sum(cvxpy.norm(S, axis=1))))
-            problem.solve(solver=cvxpy.CLARABEL)
-            assert abs(code.objective - problem.value) <= 1e-6 * max(1.0, abs(problem.value))
 
         # alpha = 0 with a complete orthonormal dictionary is exact least squares
         Q = random_orthonormal(rng, 6)
@@ -204,6 +207,20 @@ def test_criterion_8_denoiser_optimality():
         code = block_sparse_code(X, Dictionary(Q, orthonormal=True),
                                  DenoiseConfig(alpha=0.0))
         assert np.max(np.abs(code.coefficients - Q.T @ X)) <= 1e-9
+
+
+def test_criterion_8_denoiser_optimality():
+    cvxpy = pytest.importorskip("cvxpy")
+    problems, _ = denoise_problems()
+    with criterion(8, "l2,1 objective matches a high-precision convex oracle"):
+        for X, D, alpha, code in problems:
+            k, n = D.atoms.shape[1], X.shape[1]
+            S = cvxpy.Variable((k, n))
+            problem = cvxpy.Problem(cvxpy.Minimize(
+                cvxpy.sum_squares(X - D.atoms @ S)
+                + alpha * cvxpy.sum(cvxpy.norm(S, axis=1))))
+            problem.solve(solver=cvxpy.CLARABEL)
+            assert abs(code.objective - problem.value) <= 1e-6 * max(1.0, abs(problem.value))
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -6,14 +6,19 @@ import pytest
 
 import sheaflearn.cli
 import sheaflearn.serialize
+import sheaflearn.synth
 from sheaflearn.cli import main
 from sheaflearn.serialize import matrix_from_csv, matrix_to_csv
 from conftest import oracle_candidates_to_csv, oracle_matrix_to_csv, oracle_save_sheaf
 
 
-def write_json(path, doc):
-    Path(path).write_text(json.dumps(doc))
+def write_text(path, text):
+    Path(path).write_text(text)
     return str(path)
+
+
+def write_json(path, doc):
+    return write_text(path, json.dumps(doc))
 
 
 GEN_CFG = {"node_count": 4, "ambient_dim": 8, "dims": 3, "snapshots": 12,
@@ -249,4 +254,66 @@ def test_infer_on_one_node_is_an_input_error(tmp_path, capsys):
     assert main(["denoise", "--data", str(data), "--out", str(codes)]) == 0
     assert main(["infer", "--data", str(codes), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"{codes}: need at least two nodes, found 1\n"
+    assert not out.exists()
+
+
+def corrupt_csv(tmp_path):
+    """A dataset directory whose node 1 observations hold a word."""
+    data = tmp_path / "data"
+    assert main(["generate", "--config", write_json(tmp_path / "gen.json", GEN_CFG),
+                 "--out", str(data)]) == 0
+    path = data / "node_001_observations.csv"
+    header, first, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([header, "oops," + first.split(",", 1)[1], *rest]) + "\n")
+    return data
+
+
+# (setup, argv, start of the error line); setup writes files under tmp_path
+# and returns the text that replaces {} in argv and in the message
+BAD_INPUTS = {
+    "missing config": (lambda t: str(t / "nope.json"),
+                       ["generate", "--config", "{}"], "{}: No such file or directory"),
+    "invalid json": (lambda t: write_text(t / "cfg.json", "{alpha: 1}"),
+                     ["denoise", "--data", "d", "--config", "{}"], "{}: Expecting property name"),
+    "wrong type": (lambda t: write_json(t / "cfg.json", {"alpha": "x"}),
+                   ["denoise", "--data", "d", "--config", "{}"], "{}: '<' not supported"),
+    "generate range": (lambda t: write_json(t / "cfg.json", {"node_count": 0}),
+                       ["generate", "--config", "{}"], "{}: node_count and ambient_dim"),
+    "cluster alpha": (lambda t: write_json(t / "cfg.json", {"alpha": -1}),
+                      ["cluster", "--config", "{}"], "{}: alpha must be nonnegative"),
+    "cluster rho": (lambda t: write_json(t / "cfg.json", {"rho": 2.0}),
+                    ["cluster", "--config", "{}"], "{}: rho must lie in [0, 1]"),
+    "sweep e0": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG, "e0_grid": [0, 11]}),
+                 ["sweep", "--config", "{}"], "{}: every E0 must lie in [0, 10]"),
+    "sweep one node": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG, "node_count": 1,
+                                                             "e0_grid": None}),
+                       ["sweep", "--config", "{}"], "{}: a sweep needs at least two nodes"),
+    "missing data": (lambda t: str(t / "nowhere"),
+                     ["denoise", "--data", "{}"], "{}/manifest.json: No such file"),
+    "missing codes": (lambda t: str(t / "nowhere"),
+                      ["infer", "--data", "{}"], "{}/codes.json: No such file"),
+    "missing sheaf": (lambda t: str(t / "sheaf.json"),
+                      ["export", "--sheaf", "{}"], "{}: No such file or directory"),
+    "sheaf without maps": (lambda t: write_json(t / "sheaf.json", {"nodes": 2}),
+                           ["export", "--sheaf", "{}"], "{}: no 'ambient_dim' entry"),
+    "bad csv": (lambda t: str(corrupt_csv(t)),
+                ["denoise", "--data", "{}"], "{}/node_001_observations.csv: could not convert"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, case):
+    setup, argv, message = BAD_INPUTS[case]
+    name = setup(tmp_path)
+    capsys.readouterr()
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew data for an input that cannot be used")
+
+    monkeypatch.setattr(sheaflearn.synth, "_generate", no_draw)
+    out = tmp_path / "out"
+    assert main([a.replace("{}", name) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(message.replace("{}", name)), err
     assert not out.exists()

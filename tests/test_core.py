@@ -343,6 +343,33 @@ class TestTotalVariation:
         with pytest.raises(SheafStructureError, match="non-finite"):
             Cochain0((np.ones((2, 2)), np.array([[1.0, bad], [0.0, 0.0]])))
 
+    def test_vector_is_one_snapshot(self):
+        sh = constant_sheaf(3, [(0, 1), (1, 2)], dim=2)
+        L = assemble_laplacian(sh)
+        x = np.arange(6.0)
+        assert total_variation(L, x) == total_variation(L, x[:, None]) == x @ L.matrix @ x == 16.0
+        blocks = coboundary_apply(sh, x)
+        assert [b.tolist() for b in blocks] == [[[-2.0], [-2.0]], [[-2.0], [-2.0]]]
+        for wrong in (np.arange(5.0), np.arange(7.0), np.arange(6.0).reshape(1, 6),
+                      np.arange(12.0).reshape(6, 1, 2)):
+            with pytest.raises(SheafStructureError):
+                total_variation(L, wrong)
+            with pytest.raises(SheafStructureError):
+                coboundary_apply(sh, wrong)
+        x[3] = np.nan
+        with pytest.raises(SheafStructureError, match="non-finite"):
+            coboundary_apply(sh, x)
+
+    def test_cochain_must_fit_the_sheaf(self):
+        sh = constant_sheaf(3, [(0, 1), (1, 2)], dim=2)
+        L = assemble_laplacian(sh)
+        for blocks in ([np.ones((2, 1))] * 2, [np.ones((2, 1))] * 4,
+                       [np.ones((2, 1)), np.ones((3, 1)), np.ones((1, 1))]):
+            with pytest.raises(SheafStructureError, match="do not fit"):
+                total_variation(L, Cochain0(tuple(blocks)))
+            with pytest.raises(SheafStructureError, match="do not fit"):
+                coboundary_apply(sh, Cochain0(tuple(blocks)))
+
     def test_global_section_zero(self):
         sh = constant_sheaf(3, [(0, 1), (1, 2)], dim=1)
         L = assemble_laplacian(sh)

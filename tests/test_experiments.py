@@ -125,3 +125,20 @@ def test_cluster_experiment_smoke():
     sel = graphs["aligned"].selected
     intra = sum(1 for u, v in sel if labels[u] == labels[v])
     assert intra >= len(sel) - 2
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"node_count": 1},
+    {"node_count": 8, "e0_grid": (0, 29)},
+    {"node_count": 8, "e0_grid": (-1,)},
+    {"modes": ("aligned", "other")},
+    {"alpha_grid": (0.5, -1.0)},
+    {"snr_grid": (20.0, float("nan"))},
+    {"rho": 1.5},
+    {"dims": 65},
+    {"seed": -3},
+])
+def test_spec_rejected_before_any_data_is_drawn(kwargs):
+    with pytest.raises(ValueError):
+        SweepSpec(**kwargs)
+    assert SweepSpec(node_count=8, e0_grid=(0, 28)).e0_grid == (0, 28)

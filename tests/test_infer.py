@@ -162,6 +162,23 @@ class TestCandidateTable:
         assert (cands[0], cands[-1], cands[1:]) == (rows[0], rows[-1], rows[1:])
         assert not cands.cost.flags.writeable
 
+    @pytest.mark.parametrize("index", [0, 5, -1, -171, slice(1, None), slice(3, 9, 2),
+                                       slice(None, None, -1), slice(200, 300)])
+    def test_indexing_builds_only_the_rows_asked_for(self, rng, monkeypatch, index):
+        cands = enumerate_candidates(mixed_reps(rng), "aligned")
+        rows = list(cands)
+        built = []
+        monkeypatch.setattr(infer, "EdgeCandidate",
+                            lambda *row: built.append(row) or EdgeCandidate(*row))
+        assert cands[index] == rows[index]
+        assert len(built) == (len(rows[index]) if isinstance(index, slice) else 1)
+
+    @pytest.mark.parametrize("index", [171, -172])
+    def test_index_out_of_range(self, rng, index):
+        cands = enumerate_candidates(mixed_reps(rng), "baseline")
+        with pytest.raises(IndexError):
+            cands[index]
+
     def test_sorted_once_and_connectivity_found_once(self, rng, monkeypatch):
         sorts, unions = [], []
         lexsort, connected_at = np.lexsort, Candidates.connected_at.func

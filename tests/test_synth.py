@@ -79,6 +79,39 @@ def test_dims_validation():
         SynthConfig(rho=1.5)
 
 
+@pytest.mark.parametrize("kwargs, error", [
+    ({"dims": ("uniform", 0, 4)}, ValueError),
+    ({"dims": ("uniform", 6, 4)}, ValueError),
+    ({"dims": ["uniform", 4, 65]}, ValueError),
+    ({"node_count": 3, "dims": [2, 3]}, ValueError),
+    ({"seed": -1}, ValueError),
+    ({"snr_db": float("nan")}, ValueError),
+    ({"snr_db": -float("inf")}, ValueError),
+    ({"snapshots": 0}, ValueError),
+    ({"node_count": 0}, ValueError),
+    ({"snapshots": 64.0}, TypeError),
+    ({"dims": ["uniform", 8.5, 12]}, TypeError),
+    ({"node_count": 2, "dims": [3.5, 2]}, TypeError),
+    ({"rho": "0.5"}, TypeError),
+])
+def test_config_rejected_when_built(kwargs, error):
+    with pytest.raises(error):
+        SynthConfig(**kwargs)
+
+
+def test_standard_basis_is_one_shared_array():
+    ds = generate_dataset(SynthConfig(node_count=5, ambient_dim=8, dims=3, snapshots=4, seed=1))
+    assert all(node.dictionary is ds.nodes[0].dictionary for node in ds.nodes)
+    assert np.array_equal(ds.nodes[0].dictionary, np.eye(8))
+
+
+def test_infinite_snr_adds_no_noise():
+    ds = generate_dataset(SynthConfig(node_count=2, ambient_dim=6, dims=3, snapshots=8,
+                                      snr_db=float("inf"), seed=4))
+    for node in ds.nodes:
+        assert np.array_equal(node.observations, node.clean_signal)
+
+
 class TestClusterScenario:
     def test_shapes_and_labels(self):
         ds = generate_cluster_scenario(0, snapshots=32)
@@ -104,3 +137,10 @@ class TestClusterScenario:
         for node in ds.nodes:
             gram = node.dictionary.T @ node.dictionary
             assert np.max(np.abs(gram - np.eye(64))) <= 1e-9
+
+    @pytest.mark.parametrize("kwargs", [{"rho": 2.0}, {"rho": -1.0}, {"snapshots": 0}])
+    def test_inputs_checked_as_in_synth_config(self, kwargs):
+        with pytest.raises(ValueError):
+            generate_cluster_scenario(0, **kwargs)
+        with pytest.raises(ValueError):
+            SynthConfig(**kwargs)
