@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .denoise import DenoiseConfig, code_dataset
+from .denoise import DenoiseConfig, _checked_nodes, code_dataset
 from .experiments import (
     RunReport,
     SweepSpec,
@@ -23,6 +23,7 @@ from .experiments import (
     run_tv_sweep,
 )
 from .infer import (
+    _checked_reps,
     build_sheaf,
     enumerate_candidates,
     min_edges_for_connectivity,
@@ -116,6 +117,7 @@ def cmd_denoise(args) -> int:
         cfg = DenoiseConfig(**_load_config(args.config, DenoiseConfig))
     with _input(args.data):
         dataset = load_dataset(args.data)
+        _checked_nodes(dataset)  # every node's input, before any is coded
     codes = code_dataset(dataset, cfg)
     out = _out_dir(args)
     save_sparse_codes(codes, out)
@@ -131,9 +133,16 @@ def _edge_budget(text: str):
     return text if text == "auto" else int(text)
 
 
+def _thread_count(text: str) -> int:
+    """``--threads``: a positive integer."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer: {text!r}")
+    return int(text)
+
+
 def cmd_infer(args) -> int:
     with _input(args.data):
-        reps = load_node_representations(args.data)
+        reps = _checked_reps(load_node_representations(args.data))
     if len(reps) < 2:
         raise _InputError(f"{args.data}: need at least two nodes, found {len(reps)}")
     pairs = len(reps) * (len(reps) - 1) // 2
@@ -247,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[out, config, seed, timings],
                        help="TV sweep over (alpha, snr, E0)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument("--threads", type=_thread_count, default=1, help="worker threads (at least 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cluster", parents=[out, config, seed, timings], help="two-cluster comparison experiment")

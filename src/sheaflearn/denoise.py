@@ -129,6 +129,17 @@ def stationarity_residual(X: np.ndarray, D: Dictionary, S: np.ndarray, alpha: fl
     return worst / scale
 
 
+def _checked_observations(X, D: Dictionary) -> np.ndarray:
+    """``X`` as a 2-D float array, checked for finite entries and for one row
+    per atom coordinate."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite entries in the observations")
+    if X.shape[0] != D.signal_dim:
+        raise ValueError(f"signal has {X.shape[0]} rows, dictionary atoms have {D.signal_dim}")
+    return X
+
+
 def block_sparse_code(X: np.ndarray, D: Dictionary, cfg: DenoiseConfig) -> SparseCode:
     """Solve the row-sparse coding problem for one node's observations.
 
@@ -137,11 +148,7 @@ def block_sparse_code(X: np.ndarray, D: Dictionary, cfg: DenoiseConfig) -> Spars
     iterate is still returned with its final relative change). Non-finite
     observations raise ``ValueError`` before the first iteration.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite entries in the observations")
-    if X.shape[0] != D.signal_dim:
-        raise ValueError(f"signal has {X.shape[0]} rows, dictionary atoms have {D.signal_dim}")
+    X = _checked_observations(X, D)
     smax = np.linalg.norm(D.atoms, 2)
     if smax == 0.0:
         raise ValueError("dictionary is identically zero")
@@ -210,14 +217,22 @@ def extract_local_basis(code: SparseCode, threshold: float):
     return basis, compact
 
 
-def code_dataset(dataset, cfg: DenoiseConfig) -> list[SparseCode]:
-    """Code every node of a synthetic dataset against its own dictionary. Bad
-    input at a node raises ``ValueError`` naming the node."""
-    codes = []
+def _checked_nodes(dataset) -> list[tuple[np.ndarray, Dictionary]]:
+    """Each node's (observations, orthonormal dictionary), every node checked
+    before any is coded. Bad input at a node raises ``ValueError`` naming the
+    node."""
+    nodes = []
     for u, node in enumerate(dataset.nodes):
         try:
             D = Dictionary(node.dictionary, orthonormal=True)
-            codes.append(block_sparse_code(node.observations, D, cfg))
+            nodes.append((_checked_observations(node.observations, D), D))
         except ValueError as exc:
             raise ValueError(f"node {u}: {exc}") from None
-    return codes
+    return nodes
+
+
+def code_dataset(dataset, cfg: DenoiseConfig) -> list[SparseCode]:
+    """Code every node of a synthetic dataset against its own dictionary.
+    Every node's input is checked before the first is coded (see
+    ``_checked_nodes``)."""
+    return [block_sparse_code(X, D, cfg) for X, D in _checked_nodes(dataset)]

@@ -42,7 +42,8 @@ class SweepSpec:
     rho: float = 0.9
 
     def __post_init__(self):
-        if not self.alpha_grid or not self.snr_grid or not self.modes:
+        if not (self.alpha_grid and self.snr_grid and self.modes
+                and (self.e0_grid is None or self.e0_grid)):
             raise ValueError("grids must be nonempty")
         if operator.index(self.node_count) < 2:
             raise ValueError("a sweep needs at least two nodes")
@@ -96,10 +97,6 @@ class RunReport:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def reps_from_codes(codes):
-    return [(c.local_basis, c.compact_coeffs) for c in codes]
-
-
 def intra_cluster_fraction(edges, labels) -> float:
     if not edges:
         return 0.0
@@ -107,49 +104,43 @@ def intra_cluster_fraction(edges, labels) -> float:
     return same / len(edges)
 
 
+def _denoise_and_score(dataset, cfg: DenoiseConfig, modes) -> dict:
+    """Code ``dataset`` under ``cfg`` and score every node pair in each of
+    ``modes``: {mode: candidate table}. Only the compact forms are kept."""
+    reps = [(c.local_basis, c.compact_coeffs) for c in code_dataset(dataset, cfg)]
+    return {mode: enumerate_candidates(reps, mode=mode) for mode in modes}
+
+
 def _sweep_point(spec: SweepSpec, alpha: float, snr_db: float, dataset) -> list[ReportRow]:
     """Denoise ``dataset`` (shared by every alpha at this SNR, read only)
     at ``alpha`` and tabulate TV(E0) per mode."""
     t0 = time.perf_counter()
-    # only the compact forms are read: the full coefficients are dropped here
-    reps = reps_from_codes(code_dataset(dataset, DenoiseConfig(alpha=alpha)))
-
-    per_mode = {mode: enumerate_candidates(reps, mode=mode) for mode in spec.modes}
-
-    if spec.e0_grid is not None:
-        e0_values = list(spec.e0_grid)
-    else:
+    per_mode = _denoise_and_score(dataset, DenoiseConfig(alpha=alpha), spec.modes)
+    e0_values = spec.e0_grid
+    if e0_values is None:
         start = min(min_edges_for_connectivity(cands) for cands in per_mode.values())
-        e0_values = list(range(start, spec.node_count * (spec.node_count - 1) // 2 + 1))
-
+        e0_values = range(start, spec.node_count * (spec.node_count - 1) // 2 + 1)
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    rows = []
-    for mode, cands in per_mode.items():
-        conn = min_edges_for_connectivity(cands)
-        for e0 in e0_values:
-            rows.append(ReportRow(
-                mode=mode, alpha=alpha, snr_db=snr_db, e0=e0,
-                total_variation=float(cands.tv_prefix[e0]),
-                intra_cluster_fraction=None,
-                connect_min=conn, wall_ms=wall_ms,
-            ))
-    return rows
+    conn = {mode: min_edges_for_connectivity(cands) for mode, cands in per_mode.items()}
+    return [ReportRow(mode, alpha, snr_db, e0, float(cands.tv_prefix[e0]), None,
+                      conn[mode], wall_ms)
+            for mode, cands in per_mode.items() for e0 in e0_values]
 
 
 def run_tv_sweep(spec: SweepSpec, threads: int = 1) -> RunReport:
     """Run the full pipeline at every (alpha, snr) grid point and tabulate
-    TV(E0) per mode. Grid points are independent and may run concurrently."""
+    TV(E0) per mode. Grid points are independent and may run concurrently
+    on ``threads`` (at least 1) worker threads."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     data_seeds = [int(s) for s in np.random.SeedSequence(spec.seed).generate_state(
         len(spec.snr_grid), dtype=np.uint64) >> 1]
     # the data depends on (snr, seed) only: one dataset per SNR, read by every
     # alpha, generated as the points reach it (all at once when threaded)
     datasets = (generate_dataset(spec._synth_config(snr, seed))
                 for snr, seed in zip(spec.snr_grid, data_seeds))
-    points = (
-        (alpha, snr, dataset)
-        for snr, dataset in zip(spec.snr_grid, datasets)
-        for alpha in spec.alpha_grid
-    )
+    points = ((alpha, snr, dataset) for snr, dataset in zip(spec.snr_grid, datasets)
+              for alpha in spec.alpha_grid)
     report = RunReport()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -169,25 +160,17 @@ def run_cluster_experiment(seed: int, alpha: float = 8.0, snapshots: int = 512,
     mode's own connectivity-minimum E0 and score the intra-cluster edge
     fraction. Returns (report, {mode: selection}, labels)."""
     t0 = time.perf_counter()
+    cfg = DenoiseConfig(alpha=alpha)  # checked before any data is drawn
     dataset = generate_cluster_scenario(seed, snapshots=snapshots, rho=rho, snr_db=snr_db)
     labels = dataset.cluster_labels
-    # only the compact forms are read: the full coefficients are dropped here
-    reps = reps_from_codes(code_dataset(dataset, DenoiseConfig(alpha=alpha)))
-
-    report = RunReport()
-    graphs = {}
-    for mode in ("aligned", "baseline"):
-        cands = enumerate_candidates(reps, mode=mode)
+    report, graphs = RunReport(), {}
+    for mode, cands in _denoise_and_score(dataset, cfg, MODES).items():
         conn = min_edges_for_connectivity(cands)
-        selection = select_topology(cands, conn)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
+        graphs[mode] = selection = select_topology(cands, conn)
         report.rows.append(ReportRow(
-            mode=mode, alpha=alpha, snr_db=snr_db, e0=conn,
-            total_variation=selection.total_cost,
-            intra_cluster_fraction=intra_cluster_fraction(selection.selected, labels),
-            connect_min=conn, wall_ms=wall_ms,
-        ))
-        graphs[mode] = selection
+            mode, alpha, snr_db, conn, selection.total_cost,
+            intra_cluster_fraction(selection.selected, labels), conn,
+            (time.perf_counter() - t0) * 1000.0))
     return report, graphs, labels
 
 

@@ -257,15 +257,40 @@ def test_infer_on_one_node_is_an_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def corrupt_csv(tmp_path):
-    """A dataset directory whose node 1 observations hold a word."""
+def edit_first_entry(path, text):
+    """Replace the first entry of the first data row of a matrix CSV."""
+    header, first, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([header, text + "," + first.split(",", 1)[1], *rest]) + "\n")
+
+
+def generated(tmp_path):
     data = tmp_path / "data"
     assert main(["generate", "--config", write_json(tmp_path / "gen.json", GEN_CFG),
                  "--out", str(data)]) == 0
-    path = data / "node_001_observations.csv"
-    header, first, *rest = path.read_text().splitlines()
-    path.write_text("\n".join([header, "oops," + first.split(",", 1)[1], *rest]) + "\n")
     return data
+
+
+def corrupt_csv(tmp_path):
+    """A dataset directory whose node 1 observations hold a word."""
+    data = generated(tmp_path)
+    edit_first_entry(data / "node_001_observations.csv", "oops")
+    return data
+
+
+def skewed_dictionary(tmp_path):
+    """A dataset directory whose node 1 dictionary is not orthonormal."""
+    data = generated(tmp_path)
+    edit_first_entry(data / "node_001_dictionary.csv", "2")
+    return data
+
+
+def short_basis(tmp_path):
+    """A code directory whose node 1 local basis lost its last row."""
+    codes = tmp_path / "codes"
+    assert main(["denoise", "--data", str(generated(tmp_path)), "--out", str(codes)]) == 0
+    path = codes / "code_001_local_basis.csv"
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    return codes
 
 
 # (setup, argv, start of the error line); setup writes files under tmp_path
@@ -285,6 +310,8 @@ BAD_INPUTS = {
                     ["cluster", "--config", "{}"], "{}: rho must lie in [0, 1]"),
     "sweep e0": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG, "e0_grid": [0, 11]}),
                  ["sweep", "--config", "{}"], "{}: every E0 must lie in [0, 10]"),
+    "sweep empty e0": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG, "e0_grid": []}),
+                       ["sweep", "--config", "{}"], "{}: grids must be nonempty"),
     "sweep one node": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG, "node_count": 1,
                                                              "e0_grid": None}),
                        ["sweep", "--config", "{}"], "{}: a sweep needs at least two nodes"),
@@ -298,6 +325,11 @@ BAD_INPUTS = {
                            ["export", "--sheaf", "{}"], "{}: no 'ambient_dim' entry"),
     "bad csv": (lambda t: str(corrupt_csv(t)),
                 ["denoise", "--data", "{}"], "{}/node_001_observations.csv: could not convert"),
+    "dictionary not orthonormal": (lambda t: str(skewed_dictionary(t)),
+                                   ["denoise", "--data", "{}"],
+                                   "{}: node 1: dictionary flagged orthonormal but D^T D != I"),
+    "basis lost a row": (lambda t: str(short_basis(t)),
+                         ["infer", "--data", "{}"], "{}: node 1: ambient dimension 7, node 0 has 8"),
 }
 
 
@@ -317,3 +349,28 @@ def test_bad_input_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, case):
     assert err.count("\n") == 1
     assert err.startswith(message.replace("{}", name)), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_thread_count_must_be_positive(tmp_path, capsys, threads):
+    cfg = write_json(tmp_path / "sweep.json", SWEEP_CFG)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--config", cfg, "--threads", threads, "--out", str(out)])
+    assert info.value.code == 2
+    assert f"expected a positive integer: {threads!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, stage", [("denoise", "code_dataset"),
+                                            ("infer", "enumerate_candidates")])
+def test_numerical_fault_is_not_an_input_error(tmp_path, monkeypatch, command, stage):
+    data, codes, _ = run_pipeline(tmp_path, "a", write_json(tmp_path / "gen.json", GEN_CFG))
+
+    def fault(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(sheaflearn.cli, stage, fault)
+    source = data if command == "denoise" else codes
+    with pytest.raises(np.linalg.LinAlgError):
+        main([command, "--data", str(source), "--out", str(tmp_path / "out")])

@@ -172,6 +172,22 @@ def test_code_dataset_names_the_bad_node(field, match):
         code_dataset(ds, DenoiseConfig())
 
 
+def test_code_dataset_checks_every_node_before_coding_any(monkeypatch):
+    import sheaflearn.denoise as denoise
+
+    ds = generate_dataset(SynthConfig(node_count=4, ambient_dim=8, dims=3, snapshots=10, seed=1))
+    atoms = ds.nodes[3].dictionary.copy()
+    atoms[0, 0] = 2.0
+    ds = replace(ds, nodes=(*ds.nodes[:3], replace(ds.nodes[3], dictionary=atoms)))
+
+    def no_coding(*args, **kwargs):
+        raise AssertionError("coded a node of a dataset that fails its checks")
+
+    monkeypatch.setattr(denoise, "block_sparse_code", no_coding)
+    with pytest.raises(ValueError, match="node 3: dictionary flagged orthonormal"):
+        code_dataset(ds, DenoiseConfig())
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         DenoiseConfig(alpha=-1.0)

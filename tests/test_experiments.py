@@ -1,12 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import sheaflearn.experiments as experiments
 from sheaflearn import (
+    DenoiseConfig,
     RunReport,
     SweepSpec,
+    SynthConfig,
+    code_dataset,
     emit_plots,
+    enumerate_candidates,
+    generate_cluster_scenario,
+    generate_dataset,
+    min_edges_for_connectivity,
     run_cluster_experiment,
     run_tv_sweep,
+    select_topology,
 )
 from sheaflearn.experiments import REPORT_HEADER, ReportRow, intra_cluster_fraction
 
@@ -137,8 +148,74 @@ def test_cluster_experiment_smoke():
     {"rho": 1.5},
     {"dims": 65},
     {"seed": -3},
+    {"node_count": 8, "e0_grid": ()},
 ])
 def test_spec_rejected_before_any_data_is_drawn(kwargs):
     with pytest.raises(ValueError):
         SweepSpec(**kwargs)
     assert SweepSpec(node_count=8, e0_grid=(0, 28)).e0_grid == (0, 28)
+
+
+def no_draw(*args, **kwargs):
+    raise AssertionError("drew data for a run that cannot be made")
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_count_below_one_rejected_before_drawing(monkeypatch, threads):
+    monkeypatch.setattr(experiments, "generate_dataset", no_draw)
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        run_tv_sweep(SMALL, threads=threads)
+
+
+def test_cluster_alpha_checked_before_drawing(monkeypatch):
+    monkeypatch.setattr(experiments, "generate_cluster_scenario", no_draw)
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        run_cluster_experiment(0, alpha=-1.0)
+
+
+def compact_reps(dataset, alpha):
+    return [(c.local_basis, c.compact_coeffs)
+            for c in code_dataset(dataset, DenoiseConfig(alpha=alpha))]
+
+
+@pytest.mark.parametrize("spec", [
+    SMALL,
+    replace(SMALL, alpha_grid=(0.5,), snr_grid=(15.0,), e0_grid=None, seed=4),
+])
+def test_sweep_rows_equal_the_pipeline_written_out(spec):
+    seeds = np.random.SeedSequence(spec.seed).generate_state(
+        len(spec.snr_grid), dtype=np.uint64) >> 1
+    pairs = spec.node_count * (spec.node_count - 1) // 2
+    expected = []
+    for snr_db, seed in zip(spec.snr_grid, seeds.tolist()):
+        dataset = generate_dataset(SynthConfig(
+            node_count=spec.node_count, ambient_dim=spec.ambient_dim, dims=spec.dims,
+            snapshots=spec.snapshots, rho=spec.rho, snr_db=snr_db, seed=seed))
+        for alpha in spec.alpha_grid:
+            reps = compact_reps(dataset, alpha)
+            tables = {mode: enumerate_candidates(reps, mode) for mode in spec.modes}
+            connect = {mode: min_edges_for_connectivity(t) for mode, t in tables.items()}
+            e0_values = spec.e0_grid or range(min(connect.values()), pairs + 1)
+            expected += [(mode, alpha, snr_db, e0, float(table.tv_prefix[e0]), None,
+                          connect[mode])
+                         for mode, table in tables.items() for e0 in e0_values]
+    rows = run_tv_sweep(spec).rows
+    assert [(r.mode, r.alpha, r.snr_db, r.e0, r.total_variation, r.intra_cluster_fraction,
+             r.connect_min) for r in rows] == sorted(expected, key=lambda row: row[:4])
+
+
+def test_cluster_rows_equal_the_pipeline_written_out():
+    report, graphs, labels = run_cluster_experiment(1, alpha=6.0, snapshots=64, rho=0.8,
+                                                    snr_db=25.0)
+    dataset = generate_cluster_scenario(1, snapshots=64, rho=0.8, snr_db=25.0)
+    assert labels == dataset.cluster_labels
+    reps = compact_reps(dataset, 6.0)
+    assert [r.mode for r in report.rows] == ["aligned", "baseline"]
+    for row in report.rows:
+        table = enumerate_candidates(reps, row.mode)
+        selection = select_topology(table, table.connected_at)
+        assert graphs[row.mode].selected == selection.selected
+        assert (row.alpha, row.snr_db, row.e0, row.total_variation,
+                row.intra_cluster_fraction, row.connect_min) == \
+            (6.0, 25.0, table.connected_at, selection.total_cost,
+             intra_cluster_fraction(selection.selected, labels), table.connected_at)
