@@ -11,6 +11,8 @@ row-wise group soft-threshold with shrinkage alpha*step/2.
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -59,12 +61,14 @@ class DenoiseConfig:
     support_threshold: float = 1e-6  # relative to the largest row norm
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        if self.alpha < 0 or not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
+        if operator.index(self.max_iters) < 1:
+            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+        if not 0 <= self.support_threshold < 1:
+            raise ValueError(f"support_threshold must lie in [0, 1), got {self.support_threshold}")
 
 
 @dataclass
@@ -97,8 +101,13 @@ def l21_norm(S: np.ndarray) -> float:
 
 
 def coding_objective(X: np.ndarray, D: Dictionary, S: np.ndarray, alpha: float) -> float:
+    return _objective(X, D, S, alpha)[0]
+
+
+def _objective(X: np.ndarray, D: Dictionary, S: np.ndarray, alpha: float):
+    """The coding objective and the residual X - D S it is formed from."""
     resid = X - D.atoms @ S
-    return float(np.sum(resid * resid)) + alpha * l21_norm(S)
+    return float(np.sum(resid * resid)) + alpha * l21_norm(S), resid
 
 
 def _row_shrink(S: np.ndarray, kappa: float) -> np.ndarray:
@@ -156,15 +165,15 @@ def block_sparse_code(X: np.ndarray, D: Dictionary, cfg: DenoiseConfig) -> Spars
     kappa = cfg.alpha * step / 2.0
 
     S = np.zeros((D.atom_count, X.shape[1]))
-    f_prev = coding_objective(X, D, S, cfg.alpha)
+    f_prev, resid = _objective(X, D, S, cfg.alpha)
     trace = [f_prev]
     converged = False
     rel_change = np.inf
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        grad = D.atoms.T @ (D.atoms @ S - X)
-        S = _row_shrink(S - step * grad, kappa)
-        f = coding_objective(X, D, S, cfg.alpha)
+        # S - step * D^T (D S - X), from the residual the objective just formed
+        S = _row_shrink(S + step * (D.atoms.T @ resid), kappa)
+        f, resid = _objective(X, D, S, cfg.alpha)
         trace.append(f)
         rel_change = abs(f_prev - f) / max(1.0, abs(f_prev))
         f_prev = f

@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .align import EdgeCandidate, _edge_rule, _procrustes
-from .align import procrustes_align, unaligned_distance  # noqa: F401  (the one-pair references)
+# re-exported: perfbench's timing sites and perfbench/selftest.py wrap these names here
+from .align import procrustes_align, unaligned_distance  # noqa: F401
 from .core import EDGE_CHUNK, Sheaf, make_sheaf
 
 MODES = ("aligned", "baseline")
@@ -193,7 +194,7 @@ def enumerate_candidates(reps, mode: str = "aligned") -> Candidates:
         raise ValueError(f"unknown mode {mode!r}")
     reps = _checked_reps(reps)
     if len(reps) < 2:
-        raise ValueError("need at least two nodes to enumerate edges")
+        raise ValueError(f"need at least two nodes, found {len(reps)}")
     if mode == "aligned":
         return _score_aligned(reps)
     return _score_baseline(reps)

@@ -125,8 +125,8 @@ def _generate(generator: str, seed: int, node_count: int, d: int, n: int, rho: f
               snr_db: float, draw_shared, own_basis: bool, labels=None) -> Dataset:
     """The draw of both protocols. ``draw_shared`` takes the shared stream and
     returns the per-node dimensions and ``shared_rows(u, support)``; node u's
-    stream draws its basis (QR if ``own_basis``), support, private rows, noise."""
-    _check_protocol(seed, n, rho, snr_db)
+    stream draws its basis (QR if ``own_basis``), support, private rows, noise.
+    Callers check the protocol's inputs first."""
     shared_ss, *node_ss = np.random.SeedSequence(seed).spawn(node_count + 1)
     dims, shared_rows = draw_shared(np.random.default_rng(shared_ss))
     eye = np.eye(d)  # one array, the dictionary of every node without its own basis
@@ -178,6 +178,7 @@ def generate_cluster_scenario(
     latent into their coefficient rows with weight rho, which makes same-
     dimension nodes correlated while their bases stay unrelated.
     """
+    _check_protocol(seed, snapshots, rho, snr_db)
     labels = [0] * 8 + [1] * 8
 
     def draw_shared(rng):

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 import sheaflearn.cli
+import sheaflearn.denoise
+import sheaflearn.experiments
+import sheaflearn.infer
 import sheaflearn.serialize
 import sheaflearn.synth
 from sheaflearn.cli import main
@@ -306,6 +309,9 @@ BAD_INPUTS = {
                        ["generate", "--config", "{}"], "{}: node_count and ambient_dim"),
     "cluster alpha": (lambda t: write_json(t / "cfg.json", {"alpha": -1}),
                       ["cluster", "--config", "{}"], "{}: alpha must be nonnegative"),
+    "denoise alpha nan": (lambda t: write_json(t / "cfg.json", {"alpha": float("nan")}),
+                          ["denoise", "--data", "d", "--config", "{}"],
+                          "{}: alpha must be nonnegative and finite"),
     "cluster rho": (lambda t: write_json(t / "cfg.json", {"rho": 2.0}),
                     ["cluster", "--config", "{}"], "{}: rho must lie in [0, 1]"),
     "sweep e0": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG, "e0_grid": [0, 11]}),
@@ -374,3 +380,41 @@ def test_numerical_fault_is_not_an_input_error(tmp_path, monkeypatch, command, s
     source = data if command == "denoise" else codes
     with pytest.raises(np.linalg.LinAlgError):
         main([command, "--data", str(source), "--out", str(tmp_path / "out")])
+
+
+def test_numerical_fault_in_cluster_is_not_an_input_error(tmp_path, monkeypatch):
+    def fault(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(sheaflearn.experiments, "code_dataset", fault)
+    cfg = write_json(tmp_path / "cluster.json", {"snapshots": 16})
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["cluster", "--config", cfg, "--out", str(tmp_path / "out")])
+
+
+def counting(monkeypatch, modules, name):
+    """Wrap ``name`` wherever one of ``modules`` binds it; returns the call list."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+def test_denoise_checks_each_node_once(tmp_path, monkeypatch):
+    data = generated(tmp_path)
+    built = counting(monkeypatch, [sheaflearn.denoise], "Dictionary")
+    assert main(["denoise", "--data", str(data), "--out", str(tmp_path / "codes")]) == 0
+    assert len(built) == GEN_CFG["node_count"]
+
+
+def test_infer_checks_the_codes_once(tmp_path, monkeypatch):
+    _, codes, _ = run_pipeline(tmp_path, "a", write_json(tmp_path / "gen.json", GEN_CFG))
+    checked = counting(monkeypatch, [sheaflearn.infer, sheaflearn.cli], "_checked_reps")
+    assert main(["infer", "--data", str(codes), "--out", str(tmp_path / "out")]) == 0
+    assert len(checked) == 1

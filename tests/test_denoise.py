@@ -146,7 +146,7 @@ def test_non_finite_input_rejected_before_iterating(rng, bad, monkeypatch):
     def no_iterations(*args):
         raise AssertionError("ISTA ran on non-finite input")
 
-    monkeypatch.setattr(denoise, "coding_objective", no_iterations)
+    monkeypatch.setattr(denoise, "_objective", no_iterations)
     D = Dictionary(random_orthonormal(rng, 8), orthonormal=True)
     X = rng.standard_normal((8, 20))
     X[3, 7] = bad
@@ -193,3 +193,18 @@ def test_config_validation():
         DenoiseConfig(alpha=-1.0)
     with pytest.raises(ValueError):
         DenoiseConfig(rel_tol=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", np.nan), ("alpha", np.inf), ("rel_tol", np.nan), ("rel_tol", np.inf),
+    ("support_threshold", np.nan), ("support_threshold", -0.1),
+    ("support_threshold", 1.0), ("max_iters", 0),
+])
+def test_config_validation_rejects_what_ista_cannot_run(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        DenoiseConfig(**{field: value})
+
+
+def test_config_validation_wants_an_integer_iteration_count():
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        DenoiseConfig(max_iters=2.5)

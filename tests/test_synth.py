@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sheaflearn.synth
 from sheaflearn import SynthConfig, generate_cluster_scenario, generate_dataset
 
 
@@ -139,7 +140,11 @@ class TestClusterScenario:
             assert np.max(np.abs(gram - np.eye(64))) <= 1e-9
 
     @pytest.mark.parametrize("kwargs", [{"rho": 2.0}, {"rho": -1.0}, {"snapshots": 0}])
-    def test_inputs_checked_as_in_synth_config(self, kwargs):
+    def test_inputs_checked_as_in_synth_config(self, kwargs, monkeypatch):
+        def no_draw(*args, **_):
+            raise AssertionError("drew data for inputs that fail the protocol checks")
+
+        monkeypatch.setattr(sheaflearn.synth, "_generate", no_draw)
         with pytest.raises(ValueError):
             generate_cluster_scenario(0, **kwargs)
         with pytest.raises(ValueError):
