@@ -135,6 +135,13 @@ def _edge_budget(text: str):
     return text if text == "auto" else int(text)
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer: {text!r}")
+    return int(text)
+
+
 def _thread_count(text: str) -> int:
     """``--threads``: a positive integer."""
     if not text.isdecimal() or int(text) < 1:
@@ -226,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", default=None, help="JSON config file")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=None, help="override the config seed")
+    seed.add_argument("--seed", type=_seed, default=None,
+                      help="override the config seed (a non-negative integer)")
     timings = argparse.ArgumentParser(add_help=False)
     timings.add_argument("--timings", action="store_true",
                          help="record measured wall_ms in report.csv (non-deterministic)")

@@ -8,9 +8,9 @@ maps as one (E, 2, d, d) stack with maps[e] = (F_tail, F_head), which every
 function below reads directly. Total variation and the coboundary are
 computed edge by edge from the stack. The global
 section count dim H^0 = dim ker L is found by transporting a root value along
-a spanning tree of each component and testing it on the remaining (cycle)
-edges, one d x d eigenproblem per component: O(E d^3) work where a dense
-eigensolve of L costs O((V d)^3). Neither of these forms L.
+a spanning tree of each component and testing it on every edge through the
+same coboundary kernel, one d x d eigenproblem per component: O(E d^3) work
+where a dense eigensolve of L costs O((V d)^3). Neither of these forms L.
 
 The dense Laplacian is assembled from its block formula (Hansen & Ghrist
 2019) only when ``SheafLaplacian.matrix`` is read: diagonal block u is the
@@ -33,13 +33,23 @@ ORTHO_TOL = 1e-9
 
 # Edges (maps, in the orthonormality check) per batch in Sheaf validation,
 # total_variation and global_section_dim: bounds their buffers at
-# EDGE_CHUNK x d x N (residuals) and EDGE_CHUNK x d x d (Gram matrices, cycle
+# EDGE_CHUNK x d x N (residuals) and EDGE_CHUNK x d x d (Gram matrices, edge
 # constraints) values, whatever the edge count.
 EDGE_CHUNK = 128
 
 
 class SheafStructureError(ValueError):
     """A sheaf, cochain or map violates a structural invariant."""
+
+
+def _edge_array(edges) -> np.ndarray:
+    """``edges`` as a new (E, 2) integer array."""
+    edges = np.array(edges, dtype=np.intp)
+    if edges.size == 0:
+        edges = edges.reshape(0, 2)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise SheafStructureError(f"edges have shape {edges.shape}, expected (E, 2)")
+    return edges
 
 
 def _map_stack(maps, edge_count: int, d: int) -> np.ndarray:
@@ -95,11 +105,7 @@ class Sheaf:
             if not (0 < du <= d):
                 raise SheafStructureError(f"per_node_dim[{u}] = {du} outside (0, {d}]")
 
-        edges = np.array(self.edges, dtype=np.intp)
-        if edges.size == 0:
-            edges = edges.reshape(0, 2)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise SheafStructureError(f"edges have shape {edges.shape}, expected (E, 2)")
+        edges = _edge_array(self.edges)
         maps = _map_stack(self.maps, len(edges), d).view()
         seen = set()
         for e, (u, v) in enumerate(edges.tolist()):
@@ -158,7 +164,7 @@ def make_sheaf(
     """
     if per_node_dim is None:
         per_node_dim = (ambient_dim,) * node_count
-    edges = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    edges = _edge_array(edges)
     maps = _map_stack(maps, len(edges), ambient_dim)
     flip = edges[:, 0] > edges[:, 1]
     if flip.any():
@@ -312,9 +318,8 @@ def _spanning_forest(node_count: int, edges: np.ndarray):
 
     Returns ``component`` (the component label of each node, labels
     0..K-1 in order of their smallest node, which is the root), ``depth``
-    (BFS depth, 0 at the roots), ``parent_edge`` (the tree edge joining
-    each non-root node to its parent, -1 at the roots) and ``in_tree``
-    (a mask over the edges)."""
+    (BFS depth, 0 at the roots) and ``parent_edge`` (the tree edge joining
+    each non-root node to its parent, -1 at the roots)."""
     adjacency = [[] for _ in range(node_count)]
     for e, (u, v) in enumerate(edges.tolist()):
         adjacency[u].append((v, e))
@@ -339,9 +344,7 @@ def _spanning_forest(node_count: int, edges: np.ndarray):
                         nxt.append(v)
             frontier = nxt
         label += 1
-    in_tree = np.zeros(len(edges), dtype=bool)
-    in_tree[parent_edge[parent_edge >= 0]] = True
-    return component, depth, parent_edge, in_tree
+    return component, depth, parent_edge
 
 
 def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
@@ -351,12 +354,12 @@ def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
     With orthonormal maps a section is fixed on each connected component by
     its value a at the root: along a tree edge from parent p to child c,
     F_c x_c = F_p x_p forces x_c = T_c a with T_c = F_c^T F_p T_p, T_root = I.
-    Only the non-tree (cycle) edges (u, v) then constrain a, through
-    C_e = F_u T_u - F_v T_v, and the component contributes
-    dim ker G_c, G_c = sum of C_e^T C_e over its cycle edges. A tree
-    component or an isolated node contributes d. This costs O(E d^3) plus
-    one d x d eigensolve per component with cycles, where the dense
-    eigensolve of L costs O((V d)^3).
+    Every edge (u, v) then constrains a through C_e = F_u T_u - F_v T_v, and
+    the component contributes dim ker G_c, G_c = sum of C_e^T C_e over its
+    edges = T_c^T L T_c (T_c stacks the T_u of its nodes). A tree edge's C_e
+    is rounding noise, about d * ORTHO_TOL. This costs O(E d^3) plus one
+    d x d eigensolve per component, where the dense eigensolve of L costs
+    O((V d)^3).
 
     Threshold: for a unit a, the tree-extended x (x_u = T_u a) has
     ||x||^2 = |c| and x^T L x = a^T G_c a, so an eigenvalue mu of G_c is
@@ -364,10 +367,10 @@ def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
     interlacing the k-th smallest mu / |c| is at least the k-th smallest
     eigenvalue of L on the component). The dense count takes eigenvalues of
     L below tol * lambda_max(L); here mu / |c| is compared with
-    tol * 2 * maxdeg, maxdeg over the whole graph. With orthonormal maps,
-    diagonal block u of L is deg(u) I, so maxdeg <= lambda_max(L) <= 2 maxdeg:
-    the scale is within a factor of two of lambda_max(L) and needs no
-    eigensolve. A sheaf without edges has h0 = V d.
+    tol * 2 * max(maxdeg, 1), maxdeg over the whole graph. With orthonormal
+    maps, diagonal block u of L is deg(u) I, so maxdeg <= lambda_max(L) <=
+    2 maxdeg: the scale is within a factor of two of lambda_max(L) and needs
+    no eigensolve. A sheaf without edges has every G_c = 0, so h0 = V d.
 
     ``tol`` must lie in (0, 1).
     """
@@ -376,7 +379,7 @@ def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
     sheaf = L.sheaf
     V, d = sheaf.node_count, sheaf.ambient_dim
     edges, maps = sheaf.edges, sheaf.maps
-    component, depth, parent_edge, in_tree = _spanning_forest(V, edges)
+    component, depth, parent_edge = _spanning_forest(V, edges)
     sizes = np.bincount(component)
 
     # Transport the identity from each root, one BFS level at a time.
@@ -389,18 +392,12 @@ def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
         parent = edges[e, 1 - side]
         T[child] = maps[e, side].swapaxes(-1, -2) @ (maps[e, 1 - side] @ T[parent])
 
-    cycle = np.flatnonzero(~in_tree)
     G = np.zeros((len(sizes), d, d))
-    for start in range(0, len(cycle), EDGE_CHUNK):
-        idx = cycle[start:start + EDGE_CHUNK]
-        u, v = edges[idx, 0], edges[idx, 1]
-        C = maps[idx, 0] @ T[u] - maps[idx, 1] @ T[v]
-        np.add.at(G, component[u], C.swapaxes(-1, -2) @ C)
+    for start in range(0, len(edges), EDGE_CHUNK):
+        chunk = slice(start, start + EDGE_CHUNK)
+        C = _edge_residuals(edges[chunk], maps[chunk], T)
+        np.add.at(G, component[edges[chunk, 0]], C.swapaxes(-1, -2) @ C)
 
-    cyclic = np.flatnonzero(np.bincount(component[edges[cycle, 0]], minlength=len(sizes)))
-    h0 = d * (len(sizes) - len(cyclic))
-    if len(cyclic):
-        maxdeg = int(np.bincount(edges.ravel(), minlength=V).max())
-        mu = np.linalg.eigvalsh(G[cyclic])
-        h0 += int(np.count_nonzero(mu < (tol * 2 * maxdeg) * sizes[cyclic, None]))
-    return h0
+    maxdeg = max(1, int(np.bincount(edges.ravel(), minlength=V).max()))
+    mu = np.linalg.eigvalsh(G)
+    return int(np.count_nonzero(mu < (tol * 2 * maxdeg) * sizes[:, None]))

@@ -12,11 +12,12 @@ row-wise group soft-threshold with shrinkage alpha*step/2.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .synth import _integer
 
 
 class EmptySupportError(ValueError):
@@ -65,7 +66,7 @@ class DenoiseConfig:
             raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
         if not 0 < self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if operator.index(self.max_iters) < 1:
+        if _integer("max_iters", self.max_iters) < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         if not 0 <= self.support_threshold < 1:
             raise ValueError(f"support_threshold must lie in [0, 1), got {self.support_threshold}")

@@ -9,7 +9,6 @@ is covered by the cross-module tests.
 
 from __future__ import annotations
 
-import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ import numpy as np
 from .denoise import DenoiseConfig, code_dataset
 from .infer import MODES, enumerate_candidates, min_edges_for_connectivity, select_topology
 from .plots import svg_line_chart
-from .synth import SynthConfig, generate_cluster_scenario, generate_dataset
+from .synth import SynthConfig, _integer, generate_cluster_scenario, generate_dataset
 
 REPORT_HEADER = "mode,alpha,snr_db,e0,total_variation,intra_cluster_fraction,connect_min,wall_ms"
 
@@ -45,10 +44,10 @@ class SweepSpec:
         if not (self.alpha_grid and self.snr_grid and self.modes
                 and (self.e0_grid is None or self.e0_grid)):
             raise ValueError("grids must be nonempty")
-        if operator.index(self.node_count) < 2:
+        if _integer("node_count", self.node_count) < 2:
             raise ValueError("a sweep needs at least two nodes")
         pairs = self.node_count * (self.node_count - 1) // 2
-        if not all(0 <= operator.index(e0) <= pairs for e0 in self.e0_grid or ()):
+        if not all(0 <= _integer("e0_grid entry", e0) <= pairs for e0 in self.e0_grid or ()):
             raise ValueError(f"every E0 must lie in [0, {pairs}], the node pair count")
         if not set(self.modes) <= set(MODES):
             raise ValueError(f"modes must be among {MODES}")

@@ -38,17 +38,27 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if operator.index(self.node_count) < 1 or operator.index(self.ambient_dim) < 1:
+        if (_integer("node_count", self.node_count) < 1
+                or _integer("ambient_dim", self.ambient_dim) < 1):
             raise ValueError("node_count and ambient_dim must be positive")
         _check_protocol(self.seed, self.snapshots, self.rho, self.snr_db)
         _resolve_dims(self)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a float or any other non-integer raises a
+    TypeError naming the setting ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_protocol(seed: int, snapshots: int, rho: float, snr_db: float) -> None:
     """Checks the inputs both protocols take (snr_db = +inf adds no noise)."""
-    if operator.index(seed) < 0:
+    if _integer("seed", seed) < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if operator.index(snapshots) < 1:
+    if _integer("snapshots", snapshots) < 1:
         raise ValueError(f"snapshots must be positive, got {snapshots}")
     if not (0.0 <= rho <= 1.0):
         raise ValueError("rho must lie in [0, 1]")
@@ -94,18 +104,18 @@ class Dataset:
 def _resolve_dims(cfg: SynthConfig, rng: np.random.Generator | None = None) -> list[int]:
     """Every node's subspace dimension; a sampler spec's, without ``rng``, are its bounds."""
     dims = cfg.dims
-    if isinstance(dims, int):
-        out = [operator.index(dims)] * cfg.node_count
-    elif isinstance(dims, (tuple, list)) and len(dims) == 3 and dims[0] == "uniform":
-        lo, hi = operator.index(dims[1]), operator.index(dims[2])
+    if isinstance(dims, (tuple, list)) and len(dims) == 3 and dims[0] == "uniform":
+        lo, hi = _integer("dims entry", dims[1]), _integer("dims entry", dims[2])
         if lo > hi:
             raise ValueError(f"dims sampler range [{lo}, {hi}] is empty")
         out = [lo, hi] if rng is None else [
             int(k) for k in rng.integers(lo, hi + 1, size=cfg.node_count)]
-    else:
-        out = [operator.index(k) for k in dims]
+    elif isinstance(dims, (tuple, list, np.ndarray)):
+        out = [_integer("dims entry", k) for k in dims]
         if len(out) != cfg.node_count:
             raise ValueError("per-node dims length must equal node_count")
+    else:
+        out = [_integer("dims", dims)] * cfg.node_count
     if any(not (0 < k <= cfg.ambient_dim) for k in out):
         raise ValueError("every subspace dimension must lie in (0, ambient_dim]")
     return out

@@ -117,6 +117,11 @@ class TestProcrustes:
             procrustes_align(np.eye(2), rng.standard_normal((2, 5)),
                              np.eye(3), rng.standard_normal((3, 5)))
 
+    def test_snapshot_mismatch(self, rng):
+        with pytest.raises(ValueError, match="snapshot counts differ between nodes"):
+            procrustes_align(np.eye(2), rng.standard_normal((2, 5)),
+                             np.eye(2), rng.standard_normal((2, 6)))
+
 
 class TestAlignedDistance:
     def test_identical_zero(self, rng):

@@ -314,6 +314,22 @@ BAD_INPUTS = {
                           "{}: alpha must be nonnegative and finite"),
     "cluster rho": (lambda t: write_json(t / "cfg.json", {"rho": 2.0}),
                     ["cluster", "--config", "{}"], "{}: rho must lie in [0, 1]"),
+    "denoise max_iters float": (lambda t: write_json(t / "cfg.json", {"max_iters": 2.5}),
+                                ["denoise", "--data", "d", "--config", "{}"],
+                                "{}: max_iters must be an integer, got 2.5\n"),
+    "generate node_count float": (lambda t: write_json(t / "cfg.json", {"node_count": 3.0}),
+                                  ["generate", "--config", "{}"],
+                                  "{}: node_count must be an integer, got 3.0\n"),
+    "generate negative seed": (lambda t: write_json(t / "cfg.json", {"seed": -1}),
+                               ["generate", "--config", "{}"],
+                               "{}: seed must be non-negative, got -1\n"),
+    "sweep snapshots float": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG,
+                                                                    "snapshots": 8.5}),
+                              ["sweep", "--config", "{}"],
+                              "{}: snapshots must be an integer, got 8.5\n"),
+    "cluster snapshots float": (lambda t: write_json(t / "cfg.json", {"snapshots": 8.5}),
+                                ["cluster", "--config", "{}"],
+                                "{}: snapshots must be an integer, got 8.5\n"),
     "sweep e0": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG, "e0_grid": [0, 11]}),
                  ["sweep", "--config", "{}"], "{}: every E0 must lie in [0, 10]"),
     "sweep empty e0": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG, "e0_grid": []}),
@@ -355,6 +371,29 @@ def test_bad_input_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, case):
     assert err.count("\n") == 1
     assert err.startswith(message.replace("{}", name)), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "2.5"])
+@pytest.mark.parametrize("command", ["generate", "sweep", "cluster"])
+def test_seed_flag_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([command, "--seed", seed, "--out", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: expected a non-negative integer: {seed!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc", [("generate", GEN_CFG), ("sweep", SWEEP_CFG)])
+def test_seed_flag_overrides_the_config_seed(tmp_path, command, doc):
+    assert doc["seed"] != 3
+    flag, config = tmp_path / "flag", tmp_path / "config"
+    assert main([command, "--config", write_json(tmp_path / "a.json", doc), "--seed", "3",
+                 "--out", str(flag)]) == 0
+    assert main([command, "--config", write_json(tmp_path / "b.json", {**doc, "seed": 3}),
+                 "--out", str(config)]) == 0
+    assert dir_bytes(flag) == dir_bytes(config)
 
 
 @pytest.mark.parametrize("threads", ["0", "-3", "two"])

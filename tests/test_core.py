@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+import sheaflearn.core
 from sheaflearn import (
     Cochain0,
     DenoiseConfig,
@@ -243,6 +246,25 @@ class TestArrayValidation:
         with pytest.raises(SheafStructureError, match="expected"):
             self.build(3, 2, edges[:, :1], maps)
 
+    @pytest.mark.parametrize("edges", [[0, 1, 1, 2], [(0, 1, 2)]])
+    def test_edges_that_are_not_pairs_rejected(self, edges):
+        maps = self.arrays(3, 1)[1][:2]
+        match = re.escape(f"edges have shape {np.shape(edges)}, expected (E, 2)")
+        with pytest.raises(SheafStructureError, match=match):
+            make_sheaf(3, 1, edges, maps)
+        with pytest.raises(SheafStructureError, match=match):
+            self.build(3, 1, edges, maps)
+
+    @pytest.mark.parametrize("node_count, per_node_dim, match", [
+        (0, (), "node_count and ambient_dim must be positive"),
+        (3, (2, 2), "per_node_dim length must equal node_count"),
+        (3, (2, 0, 2), r"per_node_dim\[1\] = 0 outside \(0, 2\]"),
+        (3, (2, 2, 3), r"per_node_dim\[2\] = 3 outside \(0, 2\]"),
+    ])
+    def test_node_dimensions_rejected(self, node_count, per_node_dim, match):
+        with pytest.raises(SheafStructureError, match=match):
+            Sheaf(node_count, 2, per_node_dim, np.zeros((0, 2), int), np.zeros((0, 2, 2, 2)))
+
     def test_ragged_pairs(self):
         with pytest.raises(SheafStructureError, match="shape"):
             make_sheaf(2, 2, [(0, 1)], [(np.eye(2), np.eye(3))])
@@ -370,6 +392,12 @@ class TestTotalVariation:
             with pytest.raises(SheafStructureError, match="do not fit"):
                 coboundary_apply(sh, Cochain0(tuple(blocks)))
 
+    def test_cochain_needs_blocks_of_one_snapshot_count(self):
+        with pytest.raises(SheafStructureError, match="at least one block"):
+            Cochain0(())
+        with pytest.raises(SheafStructureError, match="share the snapshot count"):
+            Cochain0((np.ones((2, 3)), np.ones((2, 4))))
+
     def test_global_section_zero(self):
         sh = constant_sheaf(3, [(0, 1), (1, 2)], dim=1)
         L = assemble_laplacian(sh)
@@ -473,6 +501,54 @@ class TestGlobalSectionDim:
             self.assert_matches_eigensolve(make_sheaf(n, d, edges, maps), d * (n - len(edges)))
         self.assert_matches_eigensolve(make_sheaf(1, 3, [], []), 3)
         self.assert_matches_eigensolve(make_sheaf(4, 2, [], []), 8)
+
+    def test_nearly_orthonormal_maps_match_eigensolve(self, rng):
+        # every map moved to max |F^T F - I| = 1e-10, inside ORTHO_TOL, so a
+        # tree edge's constraint is about 1e-10 rather than rounding noise
+        def perturbed(sh):
+            N = rng.standard_normal(sh.maps.shape)
+            err = np.abs(sh.maps.swapaxes(-1, -2) @ N + N.swapaxes(-1, -2) @ sh.maps)
+            maps = sh.maps + 1e-10 / err.max(axis=(-1, -2), keepdims=True) * N
+            out = make_sheaf(sh.node_count, sh.ambient_dim, sh.edges, maps)
+            gram_err = np.abs(maps.swapaxes(-1, -2) @ maps - np.eye(sh.ambient_dim))
+            assert np.all(np.abs(gram_err.max(axis=(-1, -2)) - 1e-10) <= 1e-11)
+            return out
+
+        for _ in range(30):
+            n, d = int(rng.integers(2, 14)), int(rng.integers(1, 6))
+            edges = random_forest(rng, n, int(rng.integers(1, n + 1)))
+            maps = [(random_orthonormal(rng, d), random_orthonormal(rng, d)) for _ in edges]
+            self.assert_matches_eigensolve(perturbed(make_sheaf(n, d, edges, maps)),
+                                           d * (n - len(edges)))
+            edges = random_edges(rng, n, int(rng.integers(0, n * (n - 1) // 2 + 1)))
+            self.assert_matches_eigensolve(
+                perturbed(planted_sheaf(rng, n, d, edges, int(rng.integers(0, d + 1)))))
+        # planted cycles: a 5-cycle with a chord, then two gauge-planted
+        # cyclic components, a path and an isolated node
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]
+        for shared in (0, 1, 2, 4):
+            self.assert_matches_eigensolve(perturbed(planted_sheaf(rng, 5, 4, edges, shared)),
+                                           shared)
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6), (7, 8)]
+        self.assert_matches_eigensolve(perturbed(planted_sheaf(rng, 10, 3, edges, 3)), 4 * 3)
+
+    def test_every_edge_constrains_through_the_coboundary_kernel(self, rng, monkeypatch):
+        calls = []
+        kernel = sheaflearn.core._edge_residuals
+
+        def counted(edges, maps, xb):
+            calls.append(len(edges))
+            return kernel(edges, maps, xb)
+
+        monkeypatch.setattr(sheaflearn.core, "_edge_residuals", counted)
+        sh = random_sheaf(rng, 24, 3, 276)  # every pair: past one EDGE_CHUNK slice
+        forest = make_sheaf(5, 3, [(0, 1), (1, 2)], [(np.eye(3), np.eye(3))] * 2)
+        chunk = sheaflearn.core.EDGE_CHUNK
+        slices = [min(chunk, 276 - start) for start in range(0, 276, chunk)]
+        for sheaf, expected in ((sh, slices), (forest, [2])):
+            calls.clear()
+            global_section_dim(assemble_laplacian(sheaf))
+            assert calls == expected
 
     def test_scalar_stalks(self, rng):
         for _ in range(20):

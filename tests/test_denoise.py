@@ -139,6 +139,12 @@ def test_shape_mismatch_rejected(rng):
                           Dictionary(np.eye(4)), DenoiseConfig())
 
 
+def test_zero_dictionary_rejected(rng):
+    with pytest.raises(ValueError, match="dictionary is identically zero"):
+        block_sparse_code(rng.standard_normal((3, 4)),
+                          Dictionary(np.zeros((3, 2))), DenoiseConfig())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_input_rejected_before_iterating(rng, bad, monkeypatch):
     import sheaflearn.denoise as denoise
@@ -206,5 +212,5 @@ def test_config_validation_rejects_what_ista_cannot_run(field, value):
 
 
 def test_config_validation_wants_an_integer_iteration_count():
-    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+    with pytest.raises(TypeError, match=r"^max_iters must be an integer, got 2\.5$"):
         DenoiseConfig(max_iters=2.5)

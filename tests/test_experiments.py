@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +155,17 @@ def test_spec_rejected_before_any_data_is_drawn(kwargs):
     with pytest.raises(ValueError):
         SweepSpec(**kwargs)
     assert SweepSpec(node_count=8, e0_grid=(0, 28)).e0_grid == (0, 28)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"node_count": 8.0}, "node_count must be an integer, got 8.0"),
+    ({"node_count": 8, "e0_grid": (0, 2.5)}, "e0_grid entry must be an integer, got 2.5"),
+    ({"snapshots": 8.5}, "snapshots must be an integer, got 8.5"),
+    ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+], ids=["node_count", "e0_grid", "snapshots", "seed"])
+def test_non_integer_count_names_its_field(kwargs, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        SweepSpec(**kwargs)
 
 
 def no_draw(*args, **kwargs):

@@ -432,6 +432,14 @@ class TestInputValidation:
             enumerate_candidates(reps, mode=mode)
 
     @pytest.mark.parametrize("mode", ["aligned", "baseline"])
+    def test_basis_columns_must_match_coefficient_rows(self, rng, mode):
+        reps = random_reps(rng, 4, 3)
+        reps[1] = (np.eye(3), rng.standard_normal((2, 8)))
+        with pytest.raises(ValueError,
+                           match="node 1: basis has 3 columns but coefficients have 2 rows"):
+            enumerate_candidates(reps, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["aligned", "baseline"])
     def test_snapshot_count_mismatch(self, rng, mode):
         reps = random_reps(rng, 4, 3)
         reps[2] = (np.eye(3), rng.standard_normal((3, 9)))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,22 @@ def test_config_rejected_when_built(kwargs, error):
         SynthConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"node_count": 3.0}, "node_count must be an integer, got 3.0"),
+    ({"ambient_dim": 8.0}, "ambient_dim must be an integer, got 8.0"),
+    ({"snapshots": 8.5}, "snapshots must be an integer, got 8.5"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"dims": 2.5}, "dims must be an integer, got 2.5"),
+    ({"dims": "3"}, "dims must be an integer, got '3'"),
+    ({"dims": ["uniform", 8.5, 12]}, "dims entry must be an integer, got 8.5"),
+    ({"node_count": 2, "dims": [3, 2.0]}, "dims entry must be an integer, got 2.0"),
+], ids=["node_count", "ambient_dim", "snapshots", "seed", "dims", "dims text", "dims sampler",
+        "dims per node"])
+def test_non_integer_count_names_its_field(kwargs, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        SynthConfig(**kwargs)
+
+
 def test_standard_basis_is_one_shared_array():
     ds = generate_dataset(SynthConfig(node_count=5, ambient_dim=8, dims=3, snapshots=4, seed=1))
     assert all(node.dictionary is ds.nodes[0].dictionary for node in ds.nodes)
@@ -138,6 +156,10 @@ class TestClusterScenario:
         for node in ds.nodes:
             gram = node.dictionary.T @ node.dictionary
             assert np.max(np.abs(gram - np.eye(64))) <= 1e-9
+
+    def test_non_integer_snapshots_named(self):
+        with pytest.raises(TypeError, match=r"^snapshots must be an integer, got 8\.5$"):
+            generate_cluster_scenario(0, snapshots=8.5)
 
     @pytest.mark.parametrize("kwargs", [{"rho": 2.0}, {"rho": -1.0}, {"snapshots": 0}])
     def test_inputs_checked_as_in_synth_config(self, kwargs, monkeypatch):
