@@ -120,7 +120,7 @@ def cmd_denoise(args) -> int:
     with _input(args.config):
         cfg = DenoiseConfig(**_load_config(args.config, DenoiseConfig))
     with _input(args.data):
-        codes = code_dataset(load_dataset(args.data), cfg)
+        codes = code_dataset(load_dataset(args.data, clean_coeffs=False), cfg)
     out = _out_dir(args)
     save_sparse_codes(codes, out)
     dims = [c.subspace_dim for c in codes]

@@ -6,8 +6,11 @@ orthonormal d x d restriction map per (node, edge) incidence. It is stored
 as two arrays: the edges as an (E, 2) array of (tail, head) pairs and the
 maps as one (E, 2, d, d) stack with maps[e] = (F_tail, F_head), which every
 function below reads directly. Total variation and the coboundary are
-computed edge by edge from the stack. The global
-section count dim H^0 = dim ker L is found by transporting a root value along
+computed one tail run at a time: the edges that share a tail node, in pieces
+of at most EDGE_CHUNK, so one matrix product applies all of a run's tail maps
+to the tail's signal. A head map that is bit for bit the identity is not
+applied, since I x = x exactly. The global section count
+dim H^0 = dim ker L is found by transporting a root value along
 a spanning tree of each component and testing it on every edge through the
 same coboundary kernel, one d x d eigenproblem per component: O(E d^3) work
 where a dense eigensolve of L costs O((V d)^3). Neither of these forms L.
@@ -28,12 +31,16 @@ from functools import cached_property
 
 import numpy as np
 
+from .synth import _integer
+
 # Orthonormality tolerance for restriction maps.
 ORTHO_TOL = 1e-9
 
-# Edges (maps, in the orthonormality check) per batch in Sheaf validation,
-# total_variation and global_section_dim: bounds their buffers at
-# EDGE_CHUNK x d x N (residuals) and EDGE_CHUNK x d x d (Gram matrices, edge
+# The longest tail run (edges sharing a tail node, see ``_tail_runs``) that
+# total_variation, coboundary_apply, global_section_dim and
+# infer.build_sheaf handle in one matrix product, and the maps per batch of
+# the orthonormality check: bounds their buffers at EDGE_CHUNK x d x N
+# (residuals, cross products) and EDGE_CHUNK x d x d (Gram matrices, edge
 # constraints) values, whatever the edge count.
 EDGE_CHUNK = 128
 
@@ -43,13 +50,28 @@ class SheafStructureError(ValueError):
 
 
 def _edge_array(edges) -> np.ndarray:
-    """``edges`` as a new (E, 2) integer array."""
-    edges = np.array(edges, dtype=np.intp)
-    if edges.size == 0:
-        edges = edges.reshape(0, 2)
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise SheafStructureError(f"edges have shape {edges.shape}, expected (E, 2)")
-    return edges
+    """``edges`` as a new (E, 2) integer array. An edge that is not a pair, or
+    a node index that is not an integer, raises SheafStructureError naming
+    the first such edge."""
+    try:
+        raw = np.array(edges)
+    except ValueError:  # ragged: the edges do not stack
+        for e, edge in enumerate(edges):
+            if not (hasattr(edge, "__len__") and len(edge) == 2
+                    and all(np.ndim(i) == 0 for i in edge)):
+                raise SheafStructureError(
+                    f"edge {e} is {edge!r}, expected a (tail, head) pair") from None
+        raise SheafStructureError("edges do not form an (E, 2) array") from None
+    if raw.size == 0:
+        raw = raw.reshape(0, 2)
+    if raw.ndim != 2 or raw.shape[1] != 2:
+        raise SheafStructureError(f"edges have shape {raw.shape}, expected (E, 2)")
+    if raw.dtype.kind not in "iub":
+        for e, edge in enumerate(np.asarray(edges, dtype=object).tolist()):
+            if not all(isinstance(i, (int, np.integer)) for i in edge):
+                raise SheafStructureError(
+                    f"edge {e} is {tuple(edge)!r}: node indices must be integers")
+    return raw.astype(np.intp, copy=False)
 
 
 def _map_stack(maps, edge_count: int, d: int) -> np.ndarray:
@@ -95,10 +117,14 @@ class Sheaf:
     maps: np.ndarray
 
     def __post_init__(self):
-        V, d = self.node_count, self.ambient_dim
+        V = _integer("node_count", self.node_count)
+        d = _integer("ambient_dim", self.ambient_dim)
         if V <= 0 or d <= 0:
             raise SheafStructureError("node_count and ambient_dim must be positive")
-        object.__setattr__(self, "per_node_dim", tuple(self.per_node_dim))
+        object.__setattr__(self, "node_count", V)
+        object.__setattr__(self, "ambient_dim", d)
+        object.__setattr__(self, "per_node_dim", tuple(
+            _integer(f"per_node_dim[{u}]", du) for u, du in enumerate(self.per_node_dim)))
         if len(self.per_node_dim) != V:
             raise SheafStructureError("per_node_dim length must equal node_count")
         for u, du in enumerate(self.per_node_dim):
@@ -162,6 +188,8 @@ def make_sheaf(
     as given, and the pair is swapped along with the edge whenever the
     orientation is normalized.
     """
+    node_count = _integer("node_count", node_count)
+    ambient_dim = _integer("ambient_dim", ambient_dim)
     if per_node_dim is None:
         per_node_dim = (ambient_dim,) * node_count
     edges = _edge_array(edges)
@@ -243,10 +271,36 @@ def _node_signals(sheaf: Sheaf, x) -> np.ndarray:
     return X.reshape(V, d, X.shape[1])
 
 
-def _edge_residuals(edges: np.ndarray, maps: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Coboundary blocks F_tail x_tail - F_head x_head, shape (E, d, N), of
-    the node signals ``xb`` (V, d, N) on the given edges."""
-    return maps[:, 0] @ xb[edges[:, 0]] - maps[:, 1] @ xb[edges[:, 1]]
+def _tail_runs(tails: np.ndarray) -> list[np.ndarray]:
+    """Edge indices grouped by tail node: a stable argsort of ``tails`` cut
+    where the tail changes and into pieces of at most EDGE_CHUNK edges, so
+    every edge is in exactly one run and every run shares one tail."""
+    order = np.argsort(tails, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(tails[order])) + 1).tolist(), order.size]
+    return [order[lo:min(lo + EDGE_CHUNK, hi)]
+            for start, hi in zip(bounds[:-1], bounds[1:])
+            for lo in range(start, hi, EDGE_CHUNK)]
+
+
+def _coboundary_runs(sheaf: Sheaf, xb: np.ndarray):
+    """``(run, blocks)`` for every tail run of ``sheaf``: the run's m edge
+    indices and their coboundary blocks F_tail x_tail - F_head x_head, shape
+    (m, d, N), of the node signals ``xb`` (V, d, N).
+
+    One product applies the run's stacked tail maps to the tail's signal. A
+    head map that is bit for bit the identity is not applied: I x = x
+    exactly, so the blocks equal the per-edge products bit for bit."""
+    edges, maps, d = sheaf.edges, sheaf.maps, sheaf.ambient_dim
+    general_head = (maps[:, 1] != np.eye(d)).any(axis=(1, 2))
+    for run in _tail_runs(edges[:, 0]):
+        m = run.size
+        blocks = (maps[run, 0].reshape(m * d, d) @ xb[edges[run[0], 0]]).reshape(m, d, -1)
+        x_head = xb[edges[run, 1]]
+        general = general_head[run]
+        if general.any():
+            x_head[general] = maps[run[general], 1] @ x_head[general]
+        blocks -= x_head
+        yield run, blocks
 
 
 def assemble_incidence(sheaf: Sheaf) -> np.ndarray:
@@ -296,19 +350,20 @@ def _assemble_dense(sheaf: Sheaf) -> np.ndarray:
 def coboundary_apply(sheaf: Sheaf, x) -> list[np.ndarray]:
     """Apply the coboundary edge-wise: block e = F_tail x_tail - F_head x_head.
     ``x`` is any signal ``total_variation`` accepts."""
-    return list(_edge_residuals(sheaf.edges, sheaf.maps, _node_signals(sheaf, x)))
+    xb = _node_signals(sheaf, x)
+    out = np.empty((sheaf.edge_count, *xb.shape[1:]))
+    for run, blocks in _coboundary_runs(sheaf, xb):
+        out[run] = blocks
+    return list(out)
 
 
 def total_variation(L: SheafLaplacian, x) -> float:
-    """Quadratic form tr(X^T L X), summed edge by edge as the squared edge
-    disagreements ||F_tail x_tail - F_head x_head||^2. ``x`` is a
+    """Quadratic form tr(X^T L X), summed one tail run at a time as the
+    squared edge disagreements ||F_tail x_tail - F_head x_head||^2. ``x`` is a
     ``Cochain0``, a (V*d) x N array, or a length-V*d vector (x^T L x)."""
     sheaf = L.sheaf
-    xb = _node_signals(sheaf, x)
     tv = 0.0
-    for start in range(0, sheaf.edge_count, EDGE_CHUNK):
-        chunk = slice(start, start + EDGE_CHUNK)
-        r = _edge_residuals(sheaf.edges[chunk], sheaf.maps[chunk], xb)
+    for _, r in _coboundary_runs(sheaf, _node_signals(sheaf, x)):
         tv += float(np.vdot(r, r))
     return tv
 
@@ -392,11 +447,12 @@ def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
         parent = edges[e, 1 - side]
         T[child] = maps[e, side].swapaxes(-1, -2) @ (maps[e, 1 - side] @ T[parent])
 
+    # A run shares its tail, hence its component: its constraints C_e stack
+    # into one (m d) x d matrix whose Gram matrix is their sum of C_e^T C_e.
     G = np.zeros((len(sizes), d, d))
-    for start in range(0, len(edges), EDGE_CHUNK):
-        chunk = slice(start, start + EDGE_CHUNK)
-        C = _edge_residuals(edges[chunk], maps[chunk], T)
-        np.add.at(G, component[edges[chunk, 0]], C.swapaxes(-1, -2) @ C)
+    for run, C in _coboundary_runs(sheaf, T):
+        C = C.reshape(-1, d)
+        G[component[edges[run[0], 0]]] += C.T @ C
 
     maxdeg = max(1, int(np.bincount(edges.ravel(), minlength=V).max()))
     mu = np.linalg.eigvalsh(G)

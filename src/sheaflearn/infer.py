@@ -17,7 +17,7 @@ import numpy as np
 from .align import EdgeCandidate, _edge_rule, _procrustes
 # re-exported: perfbench's timing sites and perfbench/selftest.py wrap these names here
 from .align import procrustes_align, unaligned_distance  # noqa: F401
-from .core import EDGE_CHUNK, Sheaf, make_sheaf
+from .core import EDGE_CHUNK, Sheaf, _tail_runs, make_sheaf
 
 MODES = ("aligned", "baseline")
 
@@ -217,13 +217,15 @@ def build_sheaf(selection: EdgeSelection) -> Sheaf:
     """Assemble the learned sheaf from the winning candidates.
 
     Maps are solved here, for the selected edges only. Aligned candidates
-    get F from the batched kernel ``align._procrustes``, EDGE_CHUNK edges
-    per call, on the representations they were scored from: each
-    X_u = D_u S_u is formed once, and every F equals ``procrustes_align``'s
-    bit for bit. Baseline candidates get the identity. F sits on the
-    candidate's u side (the tail under the min-first orientation); the head
-    side of the map stack is the identity. Every node gets the full ambient
-    dimension as its stalk.
+    get F from the batched kernel ``align._procrustes``, one tail run at a
+    time (the kept edges that share a node u, at most EDGE_CHUNK of them,
+    see ``core._tail_runs``), on the representations they were scored from:
+    each X_u = D_u S_u is formed once, one product X_u [X_v1; X_v2; ...]^T
+    forms every cross product of the run, and every F equals
+    ``procrustes_align``'s bit for bit. Baseline candidates get the
+    identity. F sits on the candidate's u side (the tail under the min-first
+    orientation); the head side of the map stack is the identity. Every node
+    gets the full ambient dimension as its stalk.
     """
     table = selection.candidates
     if table.reps is None:
@@ -237,8 +239,10 @@ def build_sheaf(selection: EdgeSelection) -> Sheaf:
         X = np.stack([b @ s for b, s in reps])
         sq = np.array([np.sum(x * x) for x in X])
         u, v = table.u[:selection.E0], table.v[:selection.E0]
-        for lo in range(0, selection.E0, EDGE_CHUNK):
-            us, vs = u[lo:lo + EDGE_CHUNK], v[lo:lo + EDGE_CHUNK]
-            maps[lo:lo + EDGE_CHUNK, 0] = _procrustes(X[us] @ X[vs].transpose(0, 2, 1),
-                                                      sq[us] + sq[vs])[0]
+        for run in _tail_runs(u):
+            tail, heads = u[run[0]], v[run]
+            # column block j of the product is X_tail X_{heads[j]}^T
+            cross = X[tail] @ X[heads].reshape(-1, X.shape[2]).T
+            cross = np.ascontiguousarray(cross.reshape(d, run.size, d).transpose(1, 0, 2))
+            maps[run, 0] = _procrustes(cross, sq[tail] + sq[heads])[0]
     return make_sheaf(len(reps), d, selection.selected, maps)

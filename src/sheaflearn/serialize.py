@@ -165,7 +165,11 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
     _dump_json(manifest, out / "manifest.json")
 
 
-def load_dataset(in_dir) -> Dataset:
+def load_dataset(in_dir, clean_coeffs: bool = True) -> Dataset:
+    """Read a ``save_dataset`` directory. With ``clean_coeffs=False`` the
+    ground-truth coefficient CSVs are not read and each node's
+    ``clean_coeffs`` is None: denoising reads only the observations and the
+    dictionaries."""
     src = Path(in_dir)
     manifest = json.loads((src / "manifest.json").read_text())
     nodes = []
@@ -174,7 +178,7 @@ def load_dataset(in_dir) -> Dataset:
             observations=matrix_from_csv(src / rec["observations"]),
             dictionary=matrix_from_csv(src / rec["dictionary"]),
             support=tuple(rec["support"]),
-            clean_coeffs=matrix_from_csv(src / rec["clean_coeffs"]),
+            clean_coeffs=matrix_from_csv(src / rec["clean_coeffs"]) if clean_coeffs else None,
             cluster=rec["cluster"],
         ))
     return Dataset(nodes=tuple(nodes), seed=manifest["seed"], params=manifest["params"])

@@ -68,12 +68,14 @@ def _check_protocol(seed: int, snapshots: int, rho: float, snr_db: float) -> Non
 
 @dataclass(frozen=True)
 class NodeData:
-    """One node's observations together with the generating ground truth."""
+    """One node's observations together with the generating ground truth.
+    ``clean_coeffs`` is None when a dataset is loaded without them (see
+    ``serialize.load_dataset``)."""
 
     observations: np.ndarray     # d x N, noisy
     dictionary: np.ndarray       # d x K, the known (orthonormal) dictionary
     support: tuple[int, ...]     # atom indices actually used
-    clean_coeffs: np.ndarray     # K x N, zero outside the support rows
+    clean_coeffs: np.ndarray | None  # K x N, zero outside the support rows
     cluster: int | None = None
 
     @property

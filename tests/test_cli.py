@@ -296,6 +296,15 @@ def short_basis(tmp_path):
     return codes
 
 
+def fractional_head(tmp_path):
+    """A sheaf.json whose edge 1 has head 1.7."""
+    eye = [1.0, 0.0, 0.0, 1.0]
+    doc = {"nodes": 3, "ambient_dim": 2, "per_node_dim": [2, 2, 2],
+           "edges": [{"tail": 0, "head": 1, "F_tail": eye, "F_head": eye},
+                     {"tail": 1, "head": 1.7, "F_tail": eye, "F_head": eye}]}
+    return write_json(tmp_path / "sheaf.json", doc)
+
+
 # (setup, argv, start of the error line); setup writes files under tmp_path
 # and returns the text that replaces {} in argv and in the message
 BAD_INPUTS = {
@@ -345,6 +354,12 @@ BAD_INPUTS = {
                       ["export", "--sheaf", "{}"], "{}: No such file or directory"),
     "sheaf without maps": (lambda t: write_json(t / "sheaf.json", {"nodes": 2}),
                            ["export", "--sheaf", "{}"], "{}: no 'ambient_dim' entry"),
+    "sheaf with a fractional node": (lambda t: fractional_head(t),
+                                     ["export", "--sheaf", "{}", "--formats", "graphml,csv"],
+                                     "{}: edge 1 is (1, 1.7): node indices must be integers\n"),
+    "sheaf with a fractional node count": (lambda t: write_json(t / "sheaf.json", {
+        "nodes": 2.5, "ambient_dim": 1, "per_node_dim": [1, 1], "edges": []}),
+        ["export", "--sheaf", "{}"], "{}: node_count must be an integer, got 2.5\n"),
     "bad csv": (lambda t: str(corrupt_csv(t)),
                 ["denoise", "--data", "{}"], "{}/node_001_observations.csv: could not convert"),
     "dictionary not orthonormal": (lambda t: str(skewed_dictionary(t)),
@@ -457,3 +472,15 @@ def test_infer_checks_the_codes_once(tmp_path, monkeypatch):
     checked = counting(monkeypatch, [sheaflearn.infer, sheaflearn.cli], "_checked_reps")
     assert main(["infer", "--data", str(codes), "--out", str(tmp_path / "out")]) == 0
     assert len(checked) == 1
+
+
+def test_denoise_reads_observations_and_dictionaries_only(tmp_path, monkeypatch):
+    # the ground-truth coefficients are on disk but denoising never reads them
+    data = generated(tmp_path)
+    parsed = counting(monkeypatch, [sheaflearn.serialize], "matrix_from_csv")
+    assert main(["denoise", "--data", str(data), "--out", str(tmp_path / "codes")]) == 0
+    names = sorted(Path(args[0]).name.split("_", 2)[2] for args in parsed)
+    node_count = GEN_CFG["node_count"]
+    assert len(parsed) == 2 * node_count
+    assert names == ["dictionary.csv"] * node_count + ["observations.csv"] * node_count
+    assert len(list(data.glob("*_clean_coeffs.csv"))) == node_count

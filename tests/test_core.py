@@ -23,7 +23,7 @@ from sheaflearn import (
     select_topology,
     total_variation,
 )
-from conftest import random_edges, random_orthonormal, random_sheaf
+from conftest import assert_tail_runs, random_edges, random_orthonormal, random_sheaf
 
 
 def rotation(theta):
@@ -97,6 +97,23 @@ def random_forest(rng, node_count, tree_count):
             j = int(order[rng.integers(0, i)])
             edges.append((min(j, int(order[i])), max(j, int(order[i]))))
     return edges
+
+
+def learned_candidates():
+    """Aligned candidates of a small learned dataset (V = 8, d = 16)."""
+    data = generate_dataset(SynthConfig(node_count=8, ambient_dim=16, dims=("uniform", 2, 6),
+                                        snapshots=64, seed=0))
+    codes = code_dataset(data, DenoiseConfig(alpha=4.0))
+    return enumerate_candidates([(c.local_basis, c.compact_coeffs) for c in codes])
+
+
+def per_edge_blocks(sheaf, X):
+    """F_tail x_tail - F_head x_head, one edge at a time, for the node
+    blocks of a (V*d) x N signal."""
+    d = sheaf.ambient_dim
+    xb = X.reshape(sheaf.node_count, d, -1)
+    return [sheaf.maps[e, 0] @ xb[t] - sheaf.maps[e, 1] @ xb[h]
+            for e, (t, h) in enumerate(sheaf.edges.tolist())]
 
 
 def graph_laplacian(node_count, edges):
@@ -264,6 +281,43 @@ class TestArrayValidation:
     def test_node_dimensions_rejected(self, node_count, per_node_dim, match):
         with pytest.raises(SheafStructureError, match=match):
             Sheaf(node_count, 2, per_node_dim, np.zeros((0, 2), int), np.zeros((0, 2, 2, 2)))
+
+    @pytest.mark.parametrize("edge", [(0, 1.5), (0.0, 1.0), (0, None), (0, "1")])
+    def test_non_integer_node_index_rejected(self, edge):
+        maps = self.arrays(3, 1)[1][:2]
+        edges = [(1, 2), edge]
+        match = re.escape(f"edge 1 is {edge!r}: node indices must be integers")
+        with pytest.raises(SheafStructureError, match=match):
+            make_sheaf(3, 1, edges, maps)
+        with pytest.raises(SheafStructureError, match=match):
+            self.build(3, 1, edges, maps)
+
+    @pytest.mark.parametrize("edges, bad", [([(0, 1), (2,)], 1), ([(0, 1, 2), (1, 2)], 0),
+                                            ([(0, 1), (1, [2, 0])], 1)])
+    def test_ragged_edges_named(self, edges, bad):
+        maps = self.arrays(3, 1)[1][:2]
+        match = re.escape(f"edge {bad} is {edges[bad]!r}, expected a (tail, head) pair")
+        with pytest.raises(SheafStructureError, match=match):
+            make_sheaf(3, 1, edges, maps)
+        with pytest.raises(SheafStructureError, match=match):
+            self.build(3, 1, edges, maps)
+
+    @pytest.mark.parametrize("sizes, name", [((3.0, 1, None), "node_count"),
+                                             ((3, 1.0, None), "ambient_dim"),
+                                             ((3, 1, [1, 1.0, True]), r"per_node_dim\[1\]")])
+    def test_non_integer_sizes_rejected(self, sizes, name):
+        node_count, dim, per_node_dim = sizes
+        maps = self.arrays(3, 1)[1][:1]
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            make_sheaf(node_count, dim, [(0, 1)], maps, per_node_dim)
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            Sheaf(node_count, dim, per_node_dim or (1, 1, 1), [(0, 1)], maps)
+
+    def test_sizes_stored_as_int(self):
+        maps = self.arrays(3, 1)[1][:1]
+        sh = make_sheaf(np.int64(3), np.int64(1), [(0, 1)], maps, [1, np.int64(1), True])
+        assert sh.per_node_dim == (1, 1, 1)
+        assert all(type(k) is int for k in (sh.node_count, sh.ambient_dim, *sh.per_node_dim))
 
     def test_ragged_pairs(self):
         with pytest.raises(SheafStructureError, match="shape"):
@@ -439,6 +493,68 @@ class TestTotalVariation:
             assert np.max(np.abs(cob + BtX)) <= 1e-12 * max(np.max(np.abs(BtX)), 1.0)
 
 
+class TestTailRuns:
+    """The run kernel behind coboundary_apply, total_variation and
+    global_section_dim: one product per tail run, equal bit for bit to the
+    per-edge products."""
+
+    @staticmethod
+    def interleaved_sheaf(rng):
+        """Every pair of 9 nodes in a random (cost-like) order, so the tails
+        interleave; heads alternate between I and a random map."""
+        edges = random_edges(rng, 9, 36)
+        order = rng.permutation(len(edges))
+        edges = [edges[i] for i in order]
+        maps = [(random_orthonormal(rng, 4), np.eye(4) if i % 2 else random_orthonormal(rng, 4))
+                for i in range(len(edges))]
+        return make_sheaf(9, 4, edges, maps)
+
+    @staticmethod
+    def mixed_head_run(rng):
+        """One tail with seven edges whose heads mix I and random maps."""
+        maps = [(random_orthonormal(rng, 3), np.eye(3) if h in (2, 3, 6) else
+                 random_orthonormal(rng, 3)) for h in range(1, 8)]
+        return make_sheaf(8, 3, [(0, h) for h in range(1, 8)], maps)
+
+    def cases(self, rng):
+        learned = build_sheaf(select_topology(learned_candidates(), 20))
+        return {
+            "interleaved tails in cost order": self.interleaved_sheaf(rng),
+            "tail above head": oriented_sheaf(rng, 10, 3, 30),
+            "mixed identity and non-identity heads": self.mixed_head_run(rng),
+            "learned": learned,
+            "edgeless": make_sheaf(4, 3, [], []),
+        }
+
+    @pytest.mark.parametrize("chunk", [128, 3])
+    @pytest.mark.parametrize("snapshots", [1, 5])
+    def test_blocks_equal_per_edge_products(self, rng, monkeypatch, chunk, snapshots):
+        # chunk 3 cuts the runs of up to 8 edges into several pieces
+        monkeypatch.setattr(sheaflearn.core, "EDGE_CHUNK", chunk)
+        for name, sh in self.cases(rng).items():
+            X = rng.standard_normal((sh.node_count * sh.ambient_dim, snapshots))
+            blocks, oracle = coboundary_apply(sh, X), per_edge_blocks(sh, X)
+            assert len(blocks) == len(oracle) == sh.edge_count, name
+            for b, o in zip(blocks, oracle):
+                assert np.array_equal(b, o), name
+            tv = total_variation(assemble_laplacian(sh), X)
+            edge_sum = sum(float(np.vdot(o, o)) for o in oracle)
+            assert abs(tv - edge_sum) <= 1e-12 * edge_sum, name
+
+    def test_runs_cover_every_edge_once(self, rng, monkeypatch):
+        monkeypatch.setattr(sheaflearn.core, "EDGE_CHUNK", 4)
+        for _ in range(20):
+            n = int(rng.integers(2, 15))
+            sh = oriented_sheaf(rng, n, 1, int(rng.integers(1, n * (n - 1) // 2 + 1)))
+            tails = sh.edges[:, 0]
+            runs = sheaflearn.core._tail_runs(tails)
+            assert_tail_runs(runs, tails, 4)
+            # one run per tail unless the chunk cuts it
+            counts = np.bincount(tails)
+            assert len(runs) == int(np.sum(-(-counts // 4)))
+        assert sheaflearn.core._tail_runs(np.zeros(0, np.intp)) == []
+
+
 class TestGlobalSectionDim:
     def test_connected_constant_sheaf(self):
         sh = constant_sheaf(4, [(0, 1), (1, 2), (2, 3)], dim=1)
@@ -533,22 +649,25 @@ class TestGlobalSectionDim:
         self.assert_matches_eigensolve(perturbed(planted_sheaf(rng, 10, 3, edges, 3)), 4 * 3)
 
     def test_every_edge_constrains_through_the_coboundary_kernel(self, rng, monkeypatch):
-        calls = []
-        kernel = sheaflearn.core._edge_residuals
+        # every edge reaches the run kernel exactly once, in runs that share
+        # a tail and are at most the (patched) chunk long
+        runs = []
+        splitter = sheaflearn.core._tail_runs
 
-        def counted(edges, maps, xb):
-            calls.append(len(edges))
-            return kernel(edges, maps, xb)
+        def recorded(tails):
+            runs.extend(splitter(tails))
+            return runs
 
-        monkeypatch.setattr(sheaflearn.core, "_edge_residuals", counted)
-        sh = random_sheaf(rng, 24, 3, 276)  # every pair: past one EDGE_CHUNK slice
+        monkeypatch.setattr(sheaflearn.core, "_tail_runs", recorded)
+        monkeypatch.setattr(sheaflearn.core, "EDGE_CHUNK", 5)
+        complete = random_sheaf(rng, 24, 3, 276)  # tail t has 23 - t edges
         forest = make_sheaf(5, 3, [(0, 1), (1, 2)], [(np.eye(3), np.eye(3))] * 2)
-        chunk = sheaflearn.core.EDGE_CHUNK
-        slices = [min(chunk, 276 - start) for start in range(0, 276, chunk)]
-        for sheaf, expected in ((sh, slices), (forest, [2])):
-            calls.clear()
+        # sum over k = 1..23 of ceil(k / 5) runs for the complete graph
+        for sheaf, count in ((complete, 65), (forest, 2), (oriented_sheaf(rng, 12, 2, 40), None)):
+            runs.clear()
             global_section_dim(assemble_laplacian(sheaf))
-            assert calls == expected
+            assert_tail_runs(runs, sheaf.edges[:, 0], 5)
+            assert count is None or len(runs) == count
 
     def test_scalar_stalks(self, rng):
         for _ in range(20):
@@ -567,10 +686,7 @@ class TestGlobalSectionDim:
             self.assert_matches_eigensolve(sh)
 
     def test_learned_sheaf_matches_eigensolve(self):
-        data = generate_dataset(SynthConfig(node_count=8, ambient_dim=16, dims=("uniform", 2, 6),
-                                            snapshots=64, seed=0))
-        codes = code_dataset(data, DenoiseConfig(alpha=4.0))
-        cands = enumerate_candidates([(c.local_basis, c.compact_coeffs) for c in codes])
+        cands = learned_candidates()
         for e0 in (7, 12, len(cands)):
             self.assert_matches_eigensolve(build_sheaf(select_topology(cands, e0)))
 

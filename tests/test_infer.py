@@ -14,10 +14,11 @@ from sheaflearn import (
     total_variation,
 )
 import sheaflearn.align as align
+import sheaflearn.core
 import sheaflearn.infer as infer
 from sheaflearn.infer import MODES
 from sheaflearn.align import EdgeCandidate, procrustes_align, unaligned_distance
-from conftest import candidate_table, random_orthonormal
+from conftest import assert_tail_runs, candidate_table, random_orthonormal
 
 
 def random_reps(rng, node_count, d, n=8):
@@ -381,16 +382,27 @@ class TestMapsForChosenEdgesOnly:
 
     @pytest.mark.parametrize("E0", [13, 21])
     def test_maps_solved_in_slices_equal_one_pair_solves(self, rng, monkeypatch, E0):
-        # slices of 4 with a partial last one; E0 = 21 keeps every pair,
-        # including the 11 degenerate ones of the empty-support node 2 and
-        # of node 5, whose tiny cross products are not exactly zero
-        monkeypatch.setattr(infer, "EDGE_CHUNK", 4)
+        # tail runs cut at 4 edges (node 0 heads up to 6 kept edges); E0 = 21
+        # keeps every pair, including the 11 degenerate ones of the
+        # empty-support node 2 and of node 5, whose tiny cross products are
+        # not exactly zero
+        runs = []
+        splitter = infer._tail_runs
+
+        def recorded(tails):
+            runs.extend(splitter(tails))
+            return runs
+
+        monkeypatch.setattr(sheaflearn.core, "EDGE_CHUNK", 4)
+        monkeypatch.setattr(infer, "_tail_runs", recorded)
         reps = random_reps(rng, 7, 5)
         reps[2] = (np.zeros((5, 0)), np.zeros((0, 8)))
         reps[5] = (reps[5][0], 1e-16 * reps[5][1])
         cands = enumerate_candidates(reps)
         sheaf = build_sheaf(select_topology(cands, E0))
         assert sheaf.edge_count == E0
+        assert_tail_runs(runs, sheaf.edges[:, 0], 4)
+        assert any(run.size == 4 for run in runs)
         for e, (u, v) in enumerate(sheaf.edges.tolist()):
             F, ref = procrustes_align(*reps[u], *reps[v])
             assert np.array_equal(sheaf.maps[e, 0], F)

@@ -9,6 +9,7 @@ from sheaflearn import (
     SynthConfig,
     build_sheaf,
     code_dataset,
+    constant_sheaf,
     enumerate_candidates,
     generate_dataset,
     make_sheaf,
@@ -191,6 +192,16 @@ def test_maps_of_one_wrong_length_name_file_and_edge(tmp_path, rng):
     assert str(tmp_path / "sheaf.json") in str(info.value)
 
 
+@pytest.mark.parametrize("key, value", [("head", 1.7), ("tail", 0.5), ("head", "1")])
+def test_non_integer_node_in_sheaf_json_rejected(tmp_path, key, value):
+    save_sheaf(constant_sheaf(3, [(0, 1), (1, 2)], dim=2), tmp_path / "sheaf.json")
+    doc = json.loads((tmp_path / "sheaf.json").read_text())
+    doc["edges"][1][key] = value
+    (tmp_path / "sheaf.json").write_text(json.dumps(doc))
+    with pytest.raises(SheafStructureError, match="edge 1 is .*node indices must be integers"):
+        load_sheaf(tmp_path / "sheaf.json")
+
+
 def test_dataset_roundtrip(tmp_path):
     ds = generate_dataset(SynthConfig(node_count=3, ambient_dim=6, dims=2,
                                       snapshots=5, seed=4))
@@ -202,6 +213,14 @@ def test_dataset_roundtrip(tmp_path):
         assert np.array_equal(a.observations, b.observations)
         assert np.array_equal(a.dictionary, b.dictionary)
         assert a.support == b.support
+        assert np.array_equal(a.clean_coeffs, b.clean_coeffs)
+    # without the ground truth, every other field is read the same
+    lean = load_dataset(tmp_path / "data", clean_coeffs=False)
+    for a, b in zip(loaded.nodes, lean.nodes):
+        assert b.clean_coeffs is None
+        assert np.array_equal(a.observations, b.observations)
+        assert np.array_equal(a.dictionary, b.dictionary)
+        assert (a.support, a.cluster) == (b.support, b.cluster)
 
 
 def test_codes_roundtrip(tmp_path):
