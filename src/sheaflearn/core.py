@@ -37,11 +37,11 @@ from .synth import _integer
 ORTHO_TOL = 1e-9
 
 # The longest tail run (edges sharing a tail node, see ``_tail_runs``) that
-# total_variation, coboundary_apply, global_section_dim and
-# infer.build_sheaf handle in one matrix product, and the maps per batch of
-# the orthonormality check: bounds their buffers at EDGE_CHUNK x d x N
+# total_variation, coboundary_apply, global_section_dim, infer.build_sheaf
+# and infer's pair scoring handle in one matrix product, and the maps per
+# batch of the orthonormality check: bounds their buffers at EDGE_CHUNK x d x N
 # (residuals, cross products) and EDGE_CHUNK x d x d (Gram matrices, edge
-# constraints) values, whatever the edge count.
+# constraints, scoring blocks) values, whatever the edge or pair count.
 EDGE_CHUNK = 128
 
 
@@ -123,6 +123,9 @@ class Sheaf:
             raise SheafStructureError("node_count and ambient_dim must be positive")
         object.__setattr__(self, "node_count", V)
         object.__setattr__(self, "ambient_dim", d)
+        if not np.iterable(self.per_node_dim):
+            raise TypeError("per_node_dim must be a sequence of integers, "
+                            f"got {self.per_node_dim!r}")
         object.__setattr__(self, "per_node_dim", tuple(
             _integer(f"per_node_dim[{u}]", du) for u, du in enumerate(self.per_node_dim)))
         if len(self.per_node_dim) != V:
@@ -199,7 +202,7 @@ def make_sheaf(
         edges[flip] = edges[flip, ::-1]
         maps = maps.copy()
         maps[flip] = maps[flip, ::-1]
-    return Sheaf(node_count, ambient_dim, tuple(per_node_dim), edges, maps)
+    return Sheaf(node_count, ambient_dim, per_node_dim, edges, maps)
 
 
 def constant_sheaf(node_count: int, edges, dim: int = 1) -> Sheaf:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import ORTHO_TOL
 from .synth import _integer
 
 
@@ -39,10 +40,12 @@ class Dictionary:
         a = np.atleast_2d(np.asarray(self.atoms, dtype=float))
         if not np.all(np.isfinite(a)):
             raise ValueError("non-finite entries in the dictionary atoms")
+        if a.shape[1] == 0:
+            raise ValueError("dictionary has no atoms")
         object.__setattr__(self, "atoms", a)
         if self.orthonormal:
             gram = a.T @ a
-            if np.max(np.abs(gram - np.eye(a.shape[1]))) > 1e-9:
+            if np.max(np.abs(gram - np.eye(a.shape[1]))) > ORTHO_TOL:
                 raise ValueError("dictionary flagged orthonormal but D^T D != I")
 
     @property

@@ -115,12 +115,10 @@ def _sweep_point(spec: SweepSpec, alpha: float, snr_db: float, dataset) -> list[
     at ``alpha`` and tabulate TV(E0) per mode."""
     t0 = time.perf_counter()
     per_mode = _denoise_and_score(dataset, DenoiseConfig(alpha=alpha), spec.modes)
-    e0_values = spec.e0_grid
-    if e0_values is None:
-        start = min(min_edges_for_connectivity(cands) for cands in per_mode.values())
-        e0_values = range(start, spec.node_count * (spec.node_count - 1) // 2 + 1)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
     conn = {mode: min_edges_for_connectivity(cands) for mode, cands in per_mode.items()}
+    e0_values = spec.e0_grid or range(min(conn.values()),
+                                      spec.node_count * (spec.node_count - 1) // 2 + 1)
+    wall_ms = (time.perf_counter() - t0) * 1000.0
     return [ReportRow(mode, alpha, snr_db, e0, float(cands.tv_prefix[e0]), None,
                       conn[mode], wall_ms)
             for mode, cands in per_mode.items() for e0 in e0_values]

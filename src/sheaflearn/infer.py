@@ -17,7 +17,8 @@ import numpy as np
 from .align import EdgeCandidate, _edge_rule, _procrustes
 # re-exported: perfbench's timing sites and perfbench/selftest.py wrap these names here
 from .align import procrustes_align, unaligned_distance  # noqa: F401
-from .core import EDGE_CHUNK, Sheaf, _tail_runs, make_sheaf
+from .core import Sheaf, _tail_runs, make_sheaf
+from .synth import _integer
 
 MODES = ("aligned", "baseline")
 
@@ -133,9 +134,10 @@ def _score_aligned(reps) -> Candidates:
     X_u X_v^T = Q_u (B_u B_v^T) Q_v^T with B_u = R_u S_u, so its singular
     values are those of the k_u x k_v block B_u B_v^T, k_u = min(d, d_u).
     Blocks are zero-padded to one size, which leaves the singular values
-    unchanged, and decomposed in batches of at most EDGE_CHUNK pairs (u, v)
-    with one u, each batch from one matrix product; no Gram matrix of all
-    nodes is formed. Cost, rank and the degenerate flag come from
+    unchanged. The pairs are walked in the tail runs of ``core._tail_runs``,
+    as ``build_sheaf`` walks its edges: each run, one u with consecutive
+    heads v, is decomposed from one matrix product, and no Gram matrix of
+    all nodes is formed. Cost, rank and the degenerate flag come from
     ``align._edge_rule``, as in ``procrustes_align``.
     """
     d = reps[0][0].shape[0]
@@ -146,25 +148,18 @@ def _score_aligned(reps) -> Candidates:
     for node, (b, s) in enumerate(reps):
         if k[node]:  # a node with an empty support keeps a zero block
             B[node, :k[node]] = np.linalg.qr(b, mode="r") @ s
-    rows = B.reshape(-1, B.shape[2])
-    V = len(reps)
-    buf = np.empty((min(EDGE_CHUNK, V - 1), kmax, kmax))
+    u_of, v_of = np.triu_indices(len(reps), 1)
     chunks = []
-    for u in range(V - 1):
-        for lo in range(u + 1, V, EDGE_CHUNK):
-            vs = np.arange(lo, min(V, lo + EDGE_CHUNK))
-            # block j is B_v B_u^T, the transpose of B_u B_v^T, with the same
-            # singular values and Frobenius norm
-            blocks = buf[:vs.size]
-            np.matmul(rows[lo * kmax:(vs[-1] + 1) * kmax], B[u].T,
-                      out=blocks.reshape(-1, kmax))
-            sigma = np.zeros((vs.size, d))
-            sigma[:, :kmax] = np.linalg.svd(blocks, compute_uv=False)
-            sigma[np.arange(d) >= np.minimum(k[u], k[vs])[:, None]] = 0.0
-            chunks.append((*_edge_rule(blocks, sigma, norms[u] + norms[vs]), sigma))
-    # the chunks hold the pairs in np.triu_indices order
-    return Candidates(*np.triu_indices(V, 1), *map(np.concatenate, zip(*chunks)),
-                      "aligned", reps)
+    for run in _tail_runs(u_of):
+        u, vs = u_of[run[0]], v_of[run]
+        # a run's heads are consecutive, so B[vs] is a slice; block j is B_v B_u^T,
+        # with the singular values and Frobenius norm of its transpose B_u B_v^T
+        blocks = (B[vs[0]:vs[-1] + 1].reshape(-1, B.shape[2]) @ B[u].T).reshape(-1, kmax, kmax)
+        sigma = np.zeros((run.size, d))
+        sigma[:, :kmax] = np.linalg.svd(blocks, compute_uv=False)
+        sigma[np.arange(d) >= np.minimum(k[u], k[vs])[:, None]] = 0.0
+        chunks.append((*_edge_rule(blocks, sigma, norms[u] + norms[vs]), sigma))
+    return Candidates(u_of, v_of, *map(np.concatenate, zip(*chunks)), "aligned", reps)
 
 
 def _score_baseline(reps) -> Candidates:
@@ -207,6 +202,7 @@ def min_edges_for_connectivity(candidates: Candidates) -> int:
 
 def select_topology(candidates: Candidates, E0: int) -> EdgeSelection:
     """Keep the E0 cheapest candidate edges (exact for the separable objective)."""
+    E0 = _integer("E0", E0)
     if not (0 <= E0 <= len(candidates)):
         raise ValueError(f"E0 = {E0} outside [0, {len(candidates)}]")
     candidates.connected_at  # computed once per table; raises when disconnected

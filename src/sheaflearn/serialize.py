@@ -20,7 +20,7 @@ import numpy as np
 from .core import Sheaf, make_sheaf
 from .denoise import SparseCode
 from .infer import Candidates, EdgeSelection
-from .synth import Dataset, NodeData
+from .synth import Dataset, NodeData, _integer
 
 FLOAT_FMT = "%.17g"
 
@@ -122,7 +122,9 @@ def save_sheaf(sheaf: Sheaf, path) -> None:
 def sheaf_from_dict(doc: dict, source: str = "sheaf document") -> Sheaf:
     """The sheaf a ``save_sheaf`` document describes. A map that is not d x d
     numbers raises ``ValueError`` naming ``source`` and the edge."""
-    d = doc["ambient_dim"]
+    d = _integer("ambient_dim", doc["ambient_dim"])
+    if d <= 0:  # checked before d sizes the map stack
+        raise ValueError(f"ambient_dim must be positive, got {d}")
     edges = [(e["tail"], e["head"]) for e in doc["edges"]]
     maps = np.empty((len(edges), 2, d, d))
     for e, edge in enumerate(doc["edges"]):
@@ -222,9 +224,9 @@ def load_node_representations(in_dir) -> list[tuple[np.ndarray, np.ndarray]]:
 
 # --------------------------------------------------------------- selections
 
-def selection_to_dict(selection: EdgeSelection) -> dict:
+def save_selection(selection: EdgeSelection, path) -> None:
     table = selection.candidates
-    return {
+    _dump_json({
         "E0": selection.E0,
         "connected_at": selection.connected_at,
         "selected": [list(p) for p in selection.selected],
@@ -233,11 +235,7 @@ def selection_to_dict(selection: EdgeSelection) -> dict:
             for u, v, c, r in zip(table.u.tolist(), table.v.tolist(), table.cost.tolist(),
                                   table.rank.tolist())
         ],
-    }
-
-
-def save_selection(selection: EdgeSelection, path) -> None:
-    _dump_json(selection_to_dict(selection), path)
+    }, path)
 
 
 def candidates_to_csv(candidates: Candidates, path) -> None:

@@ -287,6 +287,14 @@ def skewed_dictionary(tmp_path):
     return data
 
 
+def atomless_dictionary(tmp_path):
+    """A dataset directory whose node 1 dictionary is d x 0."""
+    data = generated(tmp_path)
+    path = data / "node_001_dictionary.csv"
+    matrix_to_csv(np.zeros((matrix_from_csv(path).shape[0], 0)), path)
+    return data
+
+
 def short_basis(tmp_path):
     """A code directory whose node 1 local basis lost its last row."""
     codes = tmp_path / "codes"
@@ -360,11 +368,24 @@ BAD_INPUTS = {
     "sheaf with a fractional node count": (lambda t: write_json(t / "sheaf.json", {
         "nodes": 2.5, "ambient_dim": 1, "per_node_dim": [1, 1], "edges": []}),
         ["export", "--sheaf", "{}"], "{}: node_count must be an integer, got 2.5\n"),
+    "sheaf with a float ambient dim": (lambda t: write_json(t / "sheaf.json", {
+        "nodes": 2, "ambient_dim": 6.0, "per_node_dim": [6, 6], "edges": []}),
+        ["export", "--sheaf", "{}"], "{}: ambient_dim must be an integer, got 6.0\n"),
+    "sheaf with a negative ambient dim": (lambda t: write_json(t / "sheaf.json", {
+        "nodes": 2, "ambient_dim": -1, "per_node_dim": [1, 1], "edges": []}),
+        ["export", "--sheaf", "{}"], "{}: ambient_dim must be positive, got -1\n"),
+    "sheaf with a scalar per_node_dim": (lambda t: write_json(t / "sheaf.json", {
+        "nodes": 2, "ambient_dim": 6, "per_node_dim": 6, "edges": []}),
+        ["export", "--sheaf", "{}"],
+        "{}: per_node_dim must be a sequence of integers, got 6\n"),
     "bad csv": (lambda t: str(corrupt_csv(t)),
                 ["denoise", "--data", "{}"], "{}/node_001_observations.csv: could not convert"),
     "dictionary not orthonormal": (lambda t: str(skewed_dictionary(t)),
                                    ["denoise", "--data", "{}"],
                                    "{}: node 1: dictionary flagged orthonormal but D^T D != I"),
+    "dictionary without atoms": (lambda t: str(atomless_dictionary(t)),
+                                 ["denoise", "--data", "{}"],
+                                 "{}: node 1: dictionary has no atoms\n"),
     "basis lost a row": (lambda t: str(short_basis(t)),
                          ["infer", "--data", "{}"], "{}: node 1: ambient dimension 7, node 0 has 8"),
 }

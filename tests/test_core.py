@@ -313,6 +313,15 @@ class TestArrayValidation:
         with pytest.raises(TypeError, match=f"{name} must be an integer"):
             Sheaf(node_count, dim, per_node_dim or (1, 1, 1), [(0, 1)], maps)
 
+    @pytest.mark.parametrize("per_node_dim", [1, 1.0])
+    def test_per_node_dim_not_a_sequence_named(self, per_node_dim):
+        maps = self.arrays(3, 1)[1][:1]
+        match = re.escape(f"per_node_dim must be a sequence of integers, got {per_node_dim!r}")
+        with pytest.raises(TypeError, match=match):
+            make_sheaf(3, 1, [(0, 1)], maps, per_node_dim)
+        with pytest.raises(TypeError, match=match):
+            Sheaf(3, 1, per_node_dim, [(0, 1)], maps)
+
     def test_sizes_stored_as_int(self):
         maps = self.arrays(3, 1)[1][:1]
         sh = make_sheaf(np.int64(3), np.int64(1), [(0, 1)], maps, [1, np.int64(1), True])

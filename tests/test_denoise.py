@@ -13,6 +13,7 @@ from sheaflearn import (
     extract_local_basis,
     generate_dataset,
 )
+from sheaflearn.core import ORTHO_TOL
 from sheaflearn.denoise import (
     SolverWarning,
     coding_objective,
@@ -143,6 +144,24 @@ def test_zero_dictionary_rejected(rng):
     with pytest.raises(ValueError, match="dictionary is identically zero"):
         block_sparse_code(rng.standard_normal((3, 4)),
                           Dictionary(np.zeros((3, 2))), DenoiseConfig())
+
+
+@pytest.mark.parametrize("orthonormal", [False, True])
+def test_dictionary_without_atoms_rejected(orthonormal):
+    with pytest.raises(ValueError, match="^dictionary has no atoms$"):
+        Dictionary(np.zeros((3, 0)), orthonormal=orthonormal)
+
+
+@pytest.mark.parametrize("scale, ok", [(0.5, True), (2.0, False)])
+def test_orthonormal_flag_uses_the_map_tolerance(scale, ok):
+    # D^T D - I is scale * ORTHO_TOL in one diagonal entry
+    atoms = np.eye(3)
+    atoms[1, 1] = np.sqrt(1.0 + scale * ORTHO_TOL)
+    if ok:
+        Dictionary(atoms, orthonormal=True)
+    else:
+        with pytest.raises(ValueError, match="flagged orthonormal"):
+            Dictionary(atoms, orthonormal=True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -59,6 +59,22 @@ def connected_by_bfs(node_count, edges):
     return len(seen) == node_count
 
 
+def record_tail_runs(monkeypatch, chunk):
+    """Cut ``core._tail_runs`` at ``chunk`` edges and record every run that
+    ``infer`` takes from it, in call order."""
+    runs = []
+    splitter = infer._tail_runs
+
+    def recorded(tails):
+        cut = splitter(tails)
+        runs.extend(cut)
+        return cut
+
+    monkeypatch.setattr(sheaflearn.core, "EDGE_CHUNK", chunk)
+    monkeypatch.setattr(infer, "_tail_runs", recorded)
+    return runs
+
+
 class TestEnumerate:
     def test_candidate_counts(self, rng):
         assert len(enumerate_candidates(random_reps(rng, 4, 2))) == 6
@@ -92,6 +108,16 @@ class TestSelectTopology:
             select_topology(cands, 4)
         with pytest.raises(ValueError):
             select_topology(cands, -1)
+
+    def test_non_integer_e0_rejected(self, rng):
+        cands = enumerate_candidates(random_reps(rng, 4, 2))
+        with pytest.raises(TypeError, match=r"^E0 must be an integer, got 2\.5$"):
+            select_topology(cands, 2.5)
+        with pytest.raises(TypeError, match="E0 must be an integer"):
+            select_topology(cands, np.float64(3.0))
+        selection = select_topology(cands, np.int64(3))
+        assert selection.E0 == 3 and type(selection.E0) is int
+        assert selection.total_cost == float(np.sum(cands.cost[:3]))
 
     def test_matches_exhaustive_search(self, rng):
         # the separable objective makes the greedy prefix exact
@@ -312,9 +338,15 @@ class TestScoringMatchesProcrustes:
 
     def test_rows_split_into_several_slices(self, rng, monkeypatch):
         # rows of up to 18 pairs cut into slices of 4, one of them partial
-        monkeypatch.setattr(infer, "EDGE_CHUNK", 4)
+        runs = record_tail_runs(monkeypatch, 4)
         reps = mixed_reps(rng)
-        self.assert_matches(enumerate_candidates(reps), reps)
+        cands = enumerate_candidates(reps)
+        self.assert_matches(cands, reps)
+        u_of, v_of = np.triu_indices(len(reps), 1)
+        assert_tail_runs(runs, u_of, 4)
+        assert any(run.size < 4 for run in runs) and any(run.size == 4 for run in runs)
+        for run in runs:  # the heads of a run are consecutive
+            assert np.all(np.diff(v_of[run]) == 1)
 
     def test_empty_support_node_is_degenerate(self, rng):
         reps = random_reps(rng, 4, 3)
@@ -386,19 +418,12 @@ class TestMapsForChosenEdgesOnly:
         # keeps every pair, including the 11 degenerate ones of the
         # empty-support node 2 and of node 5, whose tiny cross products are
         # not exactly zero
-        runs = []
-        splitter = infer._tail_runs
-
-        def recorded(tails):
-            runs.extend(splitter(tails))
-            return runs
-
-        monkeypatch.setattr(sheaflearn.core, "EDGE_CHUNK", 4)
-        monkeypatch.setattr(infer, "_tail_runs", recorded)
         reps = random_reps(rng, 7, 5)
         reps[2] = (np.zeros((5, 0)), np.zeros((0, 8)))
         reps[5] = (reps[5][0], 1e-16 * reps[5][1])
         cands = enumerate_candidates(reps)
+        # installed after scoring, so only build_sheaf's runs are recorded
+        runs = record_tail_runs(monkeypatch, 4)
         sheaf = build_sheaf(select_topology(cands, E0))
         assert sheaf.edge_count == E0
         assert_tail_runs(runs, sheaf.edges[:, 0], 4)
