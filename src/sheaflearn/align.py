@@ -1,16 +1,21 @@
 """Closed-form alignment of two nodes' denoised signals.
 
 For compact representations X_u = D_u S_u and X_v = D_v S_v the best
-orthonormal map F minimizing ||F X_u - X_v||_F^2 is F = V U^T where
-U Sigma V^T is the SVD of X_u X_v^T, and the achieved cost is
-||X_u||_F^2 + ||X_v||_F^2 - 2 * sum(Sigma). The optimized map sits on the
-u side; the v side keeps the identity (the pair is only determined up to a
-common rotation).
+orthonormal map F minimizing ||F X_u - X_v||_F^2 satisfies F U = V, where
+U Sigma V^T is the SVD of X_u X_v^T restricted to its nonzero singular
+values, and the achieved cost is ||X_u||_F^2 + ||X_v||_F^2 - 2 * sum(Sigma).
+The data fix F on the range span(U) only; off it, F is completed by the
+direct rotation of span(U)'s complement onto span(V)'s, so that F is the
+optimal map closest to the identity and equals I outside the two nodes'
+bases. The optimized map sits on the u side; the v side keeps the identity
+(the pair is only determined up to a common rotation).
 
-The rules of the solve (degenerate test, F = V U^T, cost clamp, rank rule)
-live once, in the batched kernel ``_procrustes`` and its ``_edge_rule``:
-``procrustes_align`` is its one-pair call, and ``infer`` scores every pair
-through ``_edge_rule`` without a map, then solves the kept edges' maps only.
+Everything is solved from the QR-reduced compact forms (``_compact``),
+never from a d x d cross product. The rules of the solve (degenerate test,
+cost clamp, rank rule, the map) live once, in the batched kernel
+``_procrustes`` and its ``_edge_rule``: ``procrustes_align`` is its one-pair
+call, and ``infer`` scores every pair through ``_edge_rule`` without a map,
+then solves the kept edges' maps only.
 """
 
 from __future__ import annotations
@@ -71,30 +76,102 @@ def _edge_rule(A, sigma, norms):
     return cost, rank, degenerate
 
 
-def _procrustes(A, norms):
-    """Solve the edge problems of cross products A = X_u X_v^T (P, d, d);
-    return ``(F, cost, sigma, rank, degenerate)``. F = V U^T from the full SVD
-    U Sigma V^T (fixing the null-space pairing deterministically), with no
-    determinant constraint; a degenerate pair gets the identity."""
-    U, sigma, Vt = np.linalg.svd(A)
-    cost, rank, degenerate = _edge_rule(A, sigma, norms)
-    F = np.matmul(Vt.transpose(0, 2, 1), U.transpose(0, 2, 1))
-    F[degenerate] = np.eye(A.shape[1])
+def _compact(reps, *, bases: bool):
+    """The compact forms of the nodes ``reps`` (basis, coefficients): with
+    the reduced QR D_u = Q_u R_u, return ``(Q, B, k, norms)``: the bases
+    ``Q`` (V, d, kmax), or None unless ``bases``; the blocks B_u = R_u S_u
+    (V, kmax, N), each zero-padded past its k_u = min(d, d_u) rows (and Q_u
+    past its k_u columns); ``k`` (V,); and norms[u] = ||D_u S_u||_F^2.
+    R_u is the same with or without Q_u, so B is too."""
+    d, N = reps[0][0].shape[0], reps[0][1].shape[1]
+    k = np.array([min(b.shape) for b, _ in reps], dtype=np.intp)
+    kmax = max(1, int(k.max()))
+    Q = np.zeros((len(reps), d, kmax)) if bases else None
+    B = np.zeros((len(reps), kmax, N))
+    for node, (b, s) in enumerate(reps):
+        if not k[node]:  # a node with an empty support keeps zero blocks
+            continue
+        if bases:
+            Q[node, :, :k[node]], r = np.linalg.qr(b)
+        else:
+            r = np.linalg.qr(b, mode="r")
+        B[node, :k[node]] = r @ s
+    norms = np.array([np.sum(x * x) for x in (b @ s for b, s in reps)])
+    return Q, B, k, norms
+
+
+def _pair_blocks(Q, B, k, tail, heads):
+    """The edge problems of the pairs (tail, h), h in ``heads`` (an array),
+    from ``_compact``'s forms, one ``(pick, (M, Q_tail, Q_h))`` per block
+    size: ``pick`` marks the heads of that size, M = B_tail B_h^T is
+    (P, size, size) and Q_h is (P, d, size). Each pair is sized by its own
+    nodes alone, size = max(1, k_tail, k_h), so its map does not depend on
+    the pairs solved with it."""
+    sizes = np.maximum(1, np.maximum(k[tail], k[heads]))
+    for size in sorted(set(sizes.tolist())):
+        pick = sizes == size
+        M = B[tail, :size] @ B[heads[pick], :size].transpose(0, 2, 1)
+        # Q_tail gets its own contiguous array, laid out as in a one-pair solve
+        yield pick, (M, np.ascontiguousarray(Q[tail, :, :size]), Q[heads[pick], :, :size])
+
+
+def _procrustes(M, Q_u, Q_v, norms):
+    """Solve P edge problems from their compact forms: M = B_u B_v^T
+    (P, s, s), Q_u (d, s) or (P, d, s) and Q_v (P, d, s), so that the cross
+    product is X_u X_v^T = Q_u M Q_v^T; return ``(F, cost, sigma, rank,
+    degenerate)``.
+
+    With the SVD M = P Sigma Z^T, the r directions the rank rule counts give
+    U = Q_u P_r and V = Q_v Z_r, and F = V U^T on span(U) (orthogonal
+    Procrustes, Schoenemann 1966), so tr(F X_u X_v^T) = sum(Sigma). On the
+    complement of span(U), F is the direct rotation of Davis & Kahan (1970)
+    onto the complement of span(V): with the SVD U^T V = Y diag(c) W^T,
+    Ũ = U Y and S = V W - Ũ diag(c),
+
+        F = I + (V - U) U^T - (Ũ + S diag(1 / (1 + c))) S^T,
+
+    the orthogonal map with F U = V that is closest to I (unique unless a
+    principal angle between span(U) and span(V) is exactly 90 degrees; the
+    SVD's choice then picks one of the equally close maps). F is I outside
+    span(U) + span(V), so outside the nodes' bases. No determinant
+    constraint; a degenerate pair (r = 0) gets the identity.
+
+    The r of a pair varies within a batch, so U and V keep s columns: the
+    s - r unused ones are zero and get the cosine 1, which adds nothing to S
+    and so nothing to F. (With the cosine 0 an SVD could mix them with the
+    data's own orthogonal directions, and F would no longer be orthogonal.)"""
+    P_m, sigma, Z_t = np.linalg.svd(M)
+    cost, rank, degenerate = _edge_rule(M, sigma, norms)
+    unused = np.arange(M.shape[1]) >= rank[:, None]  # (P, s)
+    U = np.where(unused[:, None, :], 0.0, Q_u @ P_m)
+    V = np.where(unused[:, None, :], 0.0, Q_v @ Z_t.transpose(0, 2, 1))
+    cosines = U.transpose(0, 2, 1) @ V + unused[:, :, None] * np.eye(M.shape[1])
+    Y, c, W_t = np.linalg.svd(cosines)
+    U_y = U @ Y
+    S = V @ W_t.transpose(0, 2, 1) - U_y * c[:, None, :]
+    # F - I = [V - U, -(Ũ + S / (1 + c))] [U, S]^T, one product per pair
+    left = np.concatenate([V - U, -(U_y + S / (1.0 + c[:, None, :]))], axis=2)
+    F = left @ np.concatenate([U, S], axis=2).transpose(0, 2, 1)
+    diagonal = np.arange(F.shape[1])
+    F[:, diagonal, diagonal] += 1.0
+    F[degenerate] = np.eye(F.shape[1])
     return F, cost, sigma, rank, degenerate
 
 
 def procrustes_align(D_u, S_u, D_v, S_v, u: int = 0,
                      v: int = 1) -> tuple[np.ndarray, EdgeCandidate]:
     """Solve the local edge problem of one pair; return ``(F, candidate)``.
-    A = X_u X_v^T = 0 is a valid degenerate case: the identity, flagged."""
+    A = X_u X_v^T = 0 is a valid degenerate case: the identity, flagged.
+    The candidate's singular values are padded with zeros to d."""
     D_u, S_u, D_v, S_v = (np.atleast_2d(np.asarray(m, float)) for m in (D_u, S_u, D_v, S_v))
     if D_u.shape[0] != D_v.shape[0]:
         raise ValueError("ambient dimensions differ between nodes")
     if S_u.shape[1] != S_v.shape[1]:
         raise ValueError("snapshot counts differ between nodes")
-    X_u, X_v = D_u @ S_u, D_v @ S_v
-    norms = np.sum(X_u * X_u) + np.sum(X_v * X_v)
-    F, cost, sigma, rank, degenerate = (a[0] for a in _procrustes((X_u @ X_v.T)[None], [norms]))
+    Q, B, k, norms = _compact(((D_u, S_u), (D_v, S_v)), bases=True)
+    [(_, blocks)] = _pair_blocks(Q, B, k, 0, np.array([1]))
+    F, cost, sigma, rank, degenerate = (a[0] for a in _procrustes(*blocks, norms[:1] + norms[1:]))
+    sigma = np.concatenate([sigma, np.zeros(max(0, D_u.shape[0] - sigma.size))])
     return F, EdgeCandidate(u, v, float(cost), tuple(sigma.tolist()), int(rank), bool(degenerate))
 
 

@@ -292,17 +292,20 @@ def _coboundary_runs(sheaf: Sheaf, xb: np.ndarray):
 
     One product applies the run's stacked tail maps to the tail's signal. A
     head map that is bit for bit the identity is not applied: I x = x
-    exactly, so the blocks equal the per-edge products bit for bit."""
+    exactly, so the blocks equal the per-edge products bit for bit. Such a
+    head's signal is subtracted in place, one edge at a time, so a learned
+    sheaf's runs gather no (m, d, N) copy of their head signals."""
     edges, maps, d = sheaf.edges, sheaf.maps, sheaf.ambient_dim
     general_head = (maps[:, 1] != np.eye(d)).any(axis=(1, 2))
     for run in _tail_runs(edges[:, 0]):
         m = run.size
         blocks = (maps[run, 0].reshape(m * d, d) @ xb[edges[run[0], 0]]).reshape(m, d, -1)
-        x_head = xb[edges[run, 1]]
+        heads = edges[run, 1]
         general = general_head[run]
         if general.any():
-            x_head[general] = maps[run[general], 1] @ x_head[general]
-        blocks -= x_head
+            blocks[general] -= maps[run[general], 1] @ xb[heads[general]]
+        for j in np.flatnonzero(~general).tolist():
+            blocks[j] -= xb[heads[j]]
         yield run, blocks
 
 

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .align import EdgeCandidate, _edge_rule, _procrustes
+from .align import EdgeCandidate, _compact, _edge_rule, _pair_blocks, _procrustes
 # re-exported: perfbench's timing sites and perfbench/selftest.py wrap these names here
 from .align import procrustes_align, unaligned_distance  # noqa: F401
 from .core import Sheaf, _tail_runs, make_sheaf
@@ -133,21 +133,17 @@ def _score_aligned(reps) -> Candidates:
     With D_u = Q_u R_u (reduced QR) the cross product is
     X_u X_v^T = Q_u (B_u B_v^T) Q_v^T with B_u = R_u S_u, so its singular
     values are those of the k_u x k_v block B_u B_v^T, k_u = min(d, d_u).
-    Blocks are zero-padded to one size, which leaves the singular values
-    unchanged. The pairs are walked in the tail runs of ``core._tail_runs``,
-    as ``build_sheaf`` walks its edges: each run, one u with consecutive
-    heads v, is decomposed from one matrix product, and no Gram matrix of
-    all nodes is formed. Cost, rank and the degenerate flag come from
+    The B_u come from ``align._compact``, as ``build_sheaf``'s do, padded
+    with zeros to one size, which leaves the singular values unchanged. The
+    pairs are walked in the tail runs of ``core._tail_runs``, as
+    ``build_sheaf`` walks its edges: each run, one u with consecutive heads
+    v, is decomposed from one matrix product, and no Gram matrix of all
+    nodes is formed. Cost, rank and the degenerate flag come from
     ``align._edge_rule``, as in ``procrustes_align``.
     """
     d = reps[0][0].shape[0]
-    norms = np.array([np.sum(X * X) for X in (b @ s for b, s in reps)])
-    k = np.array([min(b.shape) for b, _ in reps])
-    kmax = max(1, int(k.max()))
-    B = np.zeros((len(reps), kmax, reps[0][1].shape[1]))
-    for node, (b, s) in enumerate(reps):
-        if k[node]:  # a node with an empty support keeps a zero block
-            B[node, :k[node]] = np.linalg.qr(b, mode="r") @ s
+    _, B, k, norms = _compact(reps, bases=False)
+    kmax = B.shape[1]
     u_of, v_of = np.triu_indices(len(reps), 1)
     chunks = []
     for run in _tail_runs(u_of):
@@ -215,13 +211,16 @@ def build_sheaf(selection: EdgeSelection) -> Sheaf:
     Maps are solved here, for the selected edges only. Aligned candidates
     get F from the batched kernel ``align._procrustes``, one tail run at a
     time (the kept edges that share a node u, at most EDGE_CHUNK of them,
-    see ``core._tail_runs``), on the representations they were scored from:
-    each X_u = D_u S_u is formed once, one product X_u [X_v1; X_v2; ...]^T
-    forms every cross product of the run, and every F equals
-    ``procrustes_align``'s bit for bit. Baseline candidates get the
-    identity. F sits on the candidate's u side (the tail under the min-first
-    orientation); the head side of the map stack is the identity. Every node
-    gets the full ambient dimension as its stalk.
+    see ``core._tail_runs``), from the nodes' compact forms: each basis is
+    QR-reduced once (D_u = Q_u R_u, B_u = R_u S_u), and a run's pairs are
+    solved from their small blocks B_u B_v^T, in batches of equal block size
+    max(k_u, k_v); no d x d cross product is formed. F is the Procrustes map
+    U -> V on the data's range and the direct rotation of its complement
+    (the optimal map closest to I), so it is I outside the two nodes'
+    bases. Every F equals ``procrustes_align``'s bit for bit. Baseline
+    candidates get the identity. F sits on the candidate's u side (the tail
+    under the min-first orientation); the head side of the map stack is the
+    identity. Every node gets the full ambient dimension as its stalk.
     """
     table = selection.candidates
     if table.reps is None:
@@ -232,13 +231,10 @@ def build_sheaf(selection: EdgeSelection) -> Sheaf:
     maps = np.empty((selection.E0, 2, d, d))
     maps[:] = np.eye(d)
     if table.mode == "aligned":
-        X = np.stack([b @ s for b, s in reps])
-        sq = np.array([np.sum(x * x) for x in X])
+        Q, B, k, norms = _compact(reps, bases=True)
         u, v = table.u[:selection.E0], table.v[:selection.E0]
         for run in _tail_runs(u):
             tail, heads = u[run[0]], v[run]
-            # column block j of the product is X_tail X_{heads[j]}^T
-            cross = X[tail] @ X[heads].reshape(-1, X.shape[2]).T
-            cross = np.ascontiguousarray(cross.reshape(d, run.size, d).transpose(1, 0, 2))
-            maps[run, 0] = _procrustes(cross, sq[tail] + sq[heads])[0]
+            for pick, blocks in _pair_blocks(Q, B, k, tail, heads):
+                maps[run[pick], 0] = _procrustes(*blocks, norms[tail] + norms[heads[pick]])[0]
     return make_sheaf(len(reps), d, selection.selected, maps)

@@ -126,13 +126,17 @@ def sheaf_from_dict(doc: dict, source: str = "sheaf document") -> Sheaf:
     if d <= 0:  # checked before d sizes the map stack
         raise ValueError(f"ambient_dim must be positive, got {d}")
     edges = [(e["tail"], e["head"]) for e in doc["edges"]]
-    maps = np.empty((len(edges), 2, d, d))
+    flat = []  # the stack is sized by the maps read, never by d alone
     for e, edge in enumerate(doc["edges"]):
-        for side, key in enumerate(("F_tail", "F_head")):
+        for key in ("F_tail", "F_head"):
             try:
-                maps[e, side] = np.reshape(np.asarray(edge[key], dtype=float), (d, d))
-            except ValueError as exc:
-                raise ValueError(f"{source}: edge {e}: {key} is not {d}x{d} numbers") from exc
+                m = np.asarray(edge[key], dtype=float).ravel()
+            except (TypeError, ValueError):
+                m = None
+            if m is None or m.size != d * d:
+                raise ValueError(f"{source}: edge {e}: {key} is not {d}x{d} numbers")
+            flat.append(m)
+    maps = np.stack(flat).reshape(len(edges), 2, d, d) if flat else np.empty((0, 2, d, d))
     return make_sheaf(doc["nodes"], d, edges, maps, per_node_dim=doc["per_node_dim"])
 
 

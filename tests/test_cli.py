@@ -374,6 +374,15 @@ BAD_INPUTS = {
     "sheaf with a negative ambient dim": (lambda t: write_json(t / "sheaf.json", {
         "nodes": 2, "ambient_dim": -1, "per_node_dim": [1, 1], "edges": []}),
         ["export", "--sheaf", "{}"], "{}: ambient_dim must be positive, got -1\n"),
+    "sheaf with a huge ambient dim": (lambda t: write_json(t / "sheaf.json", {
+        "nodes": 2, "ambient_dim": 1000000, "per_node_dim": [1, 1],
+        "edges": [{"tail": 0, "head": 1, "F_tail": [1.0], "F_head": [1.0]}]}),
+        ["export", "--sheaf", "{}"],
+        "{}: edge 0: F_tail is not 1000000x1000000 numbers\n"),
+    "sheaf with a non-numeric map entry": (lambda t: write_json(t / "sheaf.json", {
+        "nodes": 2, "ambient_dim": 1, "per_node_dim": [1, 1],
+        "edges": [{"tail": 0, "head": 1, "F_tail": [1.0], "F_head": [{"x": 1}]}]}),
+        ["export", "--sheaf", "{}"], "{}: edge 0: F_head is not 1x1 numbers\n"),
     "sheaf with a scalar per_node_dim": (lambda t: write_json(t / "sheaf.json", {
         "nodes": 2, "ambient_dim": 6, "per_node_dim": 6, "edges": []}),
         ["export", "--sheaf", "{}"],

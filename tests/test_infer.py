@@ -312,20 +312,26 @@ class TestBuildSheaf:
 
 
 class TestScoringMatchesProcrustes:
-    """The batched Gram-block scores against one full Procrustes solve per pair."""
+    """The batched Gram-block scores against one full SVD of the d x d cross
+    product A = X_u X_v^T per pair, taken here with numpy."""
 
     def assert_matches(self, cands, reps):
         d = reps[0][0].shape[0]
         assert sorted(c.pair for c in cands) == list(combinations(range(len(reps)), 2))
         for c in cands:
             (Du, Su), (Dv, Sv) = reps[c.u], reps[c.v]
-            _, ref = procrustes_align(Du, Su, Dv, Sv)
-            norms = np.sum((Du @ Su) ** 2) + np.sum((Dv @ Sv) ** 2)
-            assert abs(c.cost - ref.cost) <= 1e-12 * max(1.0, norms)
-            assert (c.rank, c.degenerate) == (ref.rank, ref.degenerate)
+            X_u, X_v = Du @ Su, Dv @ Sv
+            A = X_u @ X_v.T
+            norms = np.sum(X_u ** 2) + np.sum(X_v ** 2)
+            degenerate = np.linalg.norm(A) <= align.DEGENERATE_TOL * max(1.0, norms)
+            ref_sigma = np.zeros(d) if degenerate else np.linalg.svd(A, compute_uv=False)
+            ref_cost = max(0.0, norms - 2.0 * np.sum(ref_sigma))
+            ref_rank = int(np.sum(ref_sigma > align.RANK_RTOL * ref_sigma[0]))
+            assert abs(c.cost - ref_cost) <= 1e-12 * max(1.0, norms)
+            assert (c.rank, c.degenerate) == (ref_rank, degenerate)
             assert len(c.singular_values) == d
             m = min(d, Du.shape[1], Dv.shape[1])
-            sigma, ref_sigma = np.array(c.singular_values), np.array(ref.singular_values)
+            sigma = np.array(c.singular_values)
             assert np.all(np.abs(sigma[:m] - ref_sigma[:m]) <= 1e-12 * ref_sigma[0])
             assert np.all(sigma[m:] == 0.0)
 
@@ -386,9 +392,9 @@ class TestMapsForChosenEdgesOnly:
         solved = []
         original = align._procrustes
 
-        def counted(A, norms):
-            solved.append(len(A))
-            return original(A, norms)
+        def counted(M, Q_u, Q_v, norms):
+            solved.append(len(M))
+            return original(M, Q_u, Q_v, norms)
 
         monkeypatch.setattr(align, "_procrustes", counted)
         monkeypatch.setattr(infer, "_procrustes", counted)
@@ -444,6 +450,138 @@ class TestMapsForChosenEdgesOnly:
     def test_candidates_without_source_rejected(self):
         with pytest.raises(ValueError, match="representations"):
             build_sheaf(select_topology(candidate_table({(0, 1): 1.0}), 1))
+
+
+def kernel_rig(rng, name):
+    """The node representations the map tests run on: ``mixed_reps``; the
+    identity bases of ``random_reps`` with an empty-support node (2) and a
+    node scaled by 1e-16 (5); and identity-column bases on random supports,
+    the shape of a denoised dataset."""
+    if name == "mixed":
+        return mixed_reps(rng)
+    if name == "random":
+        reps = random_reps(rng, 7, 5)
+        reps[2] = (np.zeros((5, 0)), np.zeros((0, 8)))
+        reps[5] = (reps[5][0], 1e-16 * reps[5][1])
+        return reps
+    d = 12
+    supports = [np.sort(rng.choice(d, size=int(rng.integers(1, 7)), replace=False))
+                for _ in range(9)]
+    return [(np.eye(d)[:, sup], rng.standard_normal((sup.size, 10))) for sup in supports]
+
+
+def complement(basis, rtol=1e-10):
+    """An orthonormal basis of the orthogonal complement of span(basis)."""
+    W, s, _ = np.linalg.svd(basis)
+    rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
+    return W[:, rank:]
+
+
+class TestMinimalRotationMaps:
+    """Every kept edge's map, against oracles computed here from X_u = D_u S_u
+    and A = X_u X_v^T with numpy alone."""
+
+    RIGS = ["mixed", "random", "supports"]
+
+    def learned(self, rng, rig):
+        reps = kernel_rig(rng, rig)
+        cands = enumerate_candidates(reps)
+        sheaf = build_sheaf(select_topology(cands, len(cands)))
+        X = [D @ S for D, S in reps]
+        return reps, cands, sheaf, X
+
+    @pytest.mark.parametrize("rig", RIGS)
+    def test_residual_equals_cost(self, rng, rig):
+        _, cands, sheaf, X = self.learned(rng, rig)
+        for e, (u, v) in enumerate(sheaf.edges.tolist()):
+            residual = np.sum((sheaf.maps[e, 0] @ X[u] - X[v]) ** 2)
+            norms = np.sum(X[u] ** 2) + np.sum(X[v] ** 2)
+            assert abs(residual - cands.cost[e]) <= 1e-9 * max(1.0, norms)
+
+    @pytest.mark.parametrize("rig", RIGS)
+    def test_trace_equals_nuclear_norm(self, rng, rig):
+        _, _, sheaf, X = self.learned(rng, rig)
+        for e, (u, v) in enumerate(sheaf.edges.tolist()):
+            A = X[u] @ X[v].T
+            expected = np.sum(np.linalg.svd(A, compute_uv=False))
+            assert abs(np.trace(sheaf.maps[e, 0] @ A) - expected) <= 1e-9 * max(1.0, expected)
+
+    @pytest.mark.parametrize("rig", RIGS)
+    def test_identity_off_the_bases(self, rng, rig):
+        reps, _, sheaf, _ = self.learned(rng, rig)
+        d = reps[0][0].shape[0]
+        off = 0
+        for e, (u, v) in enumerate(sheaf.edges.tolist()):
+            N = complement(np.hstack([reps[u][0], reps[v][0]]))
+            assert np.max(np.abs(sheaf.maps[e, 0] @ N - N), initial=0.0) <= 1e-12
+            off += N.shape[1]
+        assert off > 0 or rig == "random"  # identity bases span everything
+        if rig == "supports":  # F - I is exactly zero outside supp(u) + supp(v)
+            for e, (u, v) in enumerate(sheaf.edges.tolist()):
+                rows = np.flatnonzero(~np.any(np.hstack([reps[u][0], reps[v][0]]), axis=1))
+                F = sheaf.maps[e, 0]
+                assert np.array_equal(F[rows], np.eye(d)[rows])
+                assert np.array_equal(F[:, rows], np.eye(d)[:, rows])
+
+    @pytest.mark.parametrize("rig", RIGS)
+    def test_any_valid_svd_gives_an_optimal_closest_map(self, rng, rig, monkeypatch):
+        # An SVD may return any orthonormal basis of a repeated singular
+        # value's subspace, and for the value 0 the left and right bases
+        # independently. Turn every such basis at random: the maps may then
+        # differ where a principal angle is exactly 90 degrees (the closest
+        # map is not unique there), but each must stay orthogonal, optimal
+        # and as close to I as the plain solve's.
+        reps = kernel_rig(rng, rig)
+        cands = enumerate_candidates(reps)
+        plain = build_sheaf(select_topology(cands, len(cands)))
+        svd = np.linalg.svd
+
+        def turned_svd(a):
+            U, s, Vt = svd(a)
+            for p in range(len(s)):
+                cuts = np.flatnonzero(np.diff(s[p]) < -1e-13 * s[p, 0]) + 1
+                for group in np.split(np.arange(s.shape[1]), cuts):
+                    R = random_orthonormal(rng, group.size)
+                    U[p][:, group] = U[p][:, group] @ R
+                    if s[p, group[0]] > 1e-13 * s[p, 0]:
+                        Vt[p][group] = R.T @ Vt[p][group]
+                    else:
+                        Vt[p][group] = random_orthonormal(rng, group.size) @ Vt[p][group]
+            return U, s, Vt
+
+        monkeypatch.setattr(np.linalg, "svd", turned_svd)
+        turned = build_sheaf(select_topology(cands, len(cands)))
+        d = plain.ambient_dim
+        X = [D @ S for D, S in reps]
+        for e, (u, v) in enumerate(plain.edges.tolist()):
+            F, G = plain.maps[e, 0], turned.maps[e, 0]
+            assert np.max(np.abs(G.T @ G - np.eye(d))) <= 1e-12
+            norms = np.sum(X[u] ** 2) + np.sum(X[v] ** 2)
+            assert abs(np.sum((G @ X[u] - X[v]) ** 2) - np.sum((F @ X[u] - X[v]) ** 2)) \
+                <= 1e-9 * max(1.0, norms)
+            assert abs(np.linalg.norm(G - np.eye(d)) - np.linalg.norm(F - np.eye(d))) <= 1e-12
+
+    @pytest.mark.parametrize("rig", RIGS)
+    def test_closest_to_identity_among_optimal_maps(self, rng, rig):
+        # F' = (P_V + G P_V⊥) F keeps F on the data's range; G rotates the
+        # complement of the range's image V, at random or by a small angle
+        _, _, sheaf, X = self.learned(rng, rig)
+        d = sheaf.ambient_dim
+        for e, (u, v) in enumerate(sheaf.edges.tolist()):
+            F = sheaf.maps[e, 0]
+            _, s, Vt = np.linalg.svd(X[u] @ X[v].T)
+            r = int(np.sum(s > 1e-10 * s[0])) if s[0] > 0 else 0
+            V, N = Vt[:r].T, Vt[r:].T
+            distance = np.linalg.norm(F - np.eye(d))
+            for scale in (None, 1e-3, 0.1):
+                m = d - r
+                if scale is None:
+                    G = random_orthonormal(rng, m)
+                else:
+                    K = scale * rng.standard_normal((m, m))
+                    G = np.linalg.solve(np.eye(m) + (K - K.T), np.eye(m) - (K - K.T))
+                turned = (V @ V.T + N @ G @ N.T) @ F
+                assert distance <= np.linalg.norm(turned - np.eye(d)) + 1e-12
 
 
 class TestInputValidation:

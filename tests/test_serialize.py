@@ -156,6 +156,16 @@ def test_sheaf_json_roundtrip(tmp_path, rng):
         assert np.array_equal(loaded.maps[e, 1], sheaf.maps[e, 1])
 
 
+def test_nested_maps_load_as_flat_ones(tmp_path, rng):
+    sheaf = random_sheaf(rng, 4, 3, 3)
+    save_sheaf(sheaf, tmp_path / "sheaf.json")
+    doc = json.loads((tmp_path / "sheaf.json").read_text())
+    for edge, pair in zip(doc["edges"], sheaf.maps):
+        edge["F_tail"] = pair[0].tolist()
+    (tmp_path / "sheaf.json").write_text(json.dumps(doc))
+    assert np.array_equal(load_sheaf(tmp_path / "sheaf.json").maps, sheaf.maps)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_sheaf_json_rejected(tmp_path, rng, bad):
     save_sheaf(random_sheaf(rng, 3, 2, 2), tmp_path / "sheaf.json")
