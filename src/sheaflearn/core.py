@@ -10,10 +10,11 @@ computed one tail run at a time: the edges that share a tail node, in pieces
 of at most EDGE_CHUNK, so one matrix product applies all of a run's tail maps
 to the tail's signal. A head map that is bit for bit the identity is not
 applied, since I x = x exactly. The global section count
-dim H^0 = dim ker L is found by transporting a root value along
-a spanning tree of each component and testing it on every edge through the
-same coboundary kernel, one d x d eigenproblem per component: O(E d^3) work
-where a dense eigensolve of L costs O((V d)^3). Neither of these forms L.
+dim H^0 = dim ker L takes one breadth-first walk per component,
+which finds the component and transports a root value along the walk's tree
+in the same pass, then tests that value on every edge through the same
+coboundary kernel, one d x d eigenproblem per component: O(E d^3) work where
+a dense eigensolve of L costs O((V d)^3). Neither of these forms L.
 
 The dense Laplacian is assembled from its block formula (Hansen & Ghrist
 2019) only when ``SheafLaplacian.matrix`` is read: diagonal block u is the
@@ -374,40 +375,6 @@ def total_variation(L: SheafLaplacian, x) -> float:
     return tv
 
 
-def _spanning_forest(node_count: int, edges: np.ndarray):
-    """Breadth-first spanning forest of the graph on ``node_count`` nodes.
-
-    Returns ``component`` (the component label of each node, labels
-    0..K-1 in order of their smallest node, which is the root), ``depth``
-    (BFS depth, 0 at the roots) and ``parent_edge`` (the tree edge joining
-    each non-root node to its parent, -1 at the roots)."""
-    adjacency = [[] for _ in range(node_count)]
-    for e, (u, v) in enumerate(edges.tolist()):
-        adjacency[u].append((v, e))
-        adjacency[v].append((u, e))
-    component = np.full(node_count, -1, dtype=np.intp)
-    depth = np.zeros(node_count, dtype=np.intp)
-    parent_edge = np.full(node_count, -1, dtype=np.intp)
-    label = 0
-    for root in range(node_count):
-        if component[root] >= 0:
-            continue
-        component[root] = label
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v, e in adjacency[u]:
-                    if component[v] < 0:
-                        component[v] = label
-                        depth[v] = depth[u] + 1
-                        parent_edge[v] = e
-                        nxt.append(v)
-            frontier = nxt
-        label += 1
-    return component, depth, parent_edge
-
-
 def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
     """Dimension of the global section space H^0 = ker L, counted by
     spanning-tree transport without forming or factoring L.
@@ -415,6 +382,9 @@ def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
     With orthonormal maps a section is fixed on each connected component by
     its value a at the root: along a tree edge from parent p to child c,
     F_c x_c = F_p x_p forces x_c = T_c a with T_c = F_c^T F_p T_p, T_root = I.
+    The tree is the breadth-first one, and a single walk per component both
+    finds it and transports: it labels c, counts it toward |c| and fixes T_c
+    the first time it reaches c, so no forest is stored or replayed.
     Every edge (u, v) then constrains a through C_e = F_u T_u - F_v T_v, and
     the component contributes dim ker G_c, G_c = sum of C_e^T C_e over its
     edges = T_c^T L T_c (T_c stacks the T_u of its nodes). A tree edge's C_e
@@ -440,18 +410,30 @@ def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
     sheaf = L.sheaf
     V, d = sheaf.node_count, sheaf.ambient_dim
     edges, maps = sheaf.edges, sheaf.maps
-    component, depth, parent_edge = _spanning_forest(V, edges)
-    sizes = np.bincount(component)
-
-    # Transport the identity from each root, one BFS level at a time.
+    # One breadth-first walk per component, roots in node order, neighbours
+    # in edge-index order: the first time it reaches c, over edge e from p,
+    # it labels c and fixes T_c = F_c^T F_p T_p.
+    adjacency = [[] for _ in range(V)]
+    for e, (u, v) in enumerate(edges.tolist()):
+        adjacency[u].append((v, e, 1))  # (neighbour, edge, neighbour's side)
+        adjacency[v].append((u, e, 0))
+    component = [-1] * V
+    sizes = []
     T = np.empty((V, d, d))
-    T[depth == 0] = np.eye(d)
-    for level in range(1, int(depth.max()) + 1):
-        child = np.flatnonzero(depth == level)
-        e = parent_edge[child]
-        side = (edges[e, 1] == child).astype(np.intp)  # child's end of e
-        parent = edges[e, 1 - side]
-        T[child] = maps[e, side].swapaxes(-1, -2) @ (maps[e, 1 - side] @ T[parent])
+    for root in range(V):
+        if component[root] >= 0:
+            continue
+        component[root] = len(sizes)
+        T[root] = np.eye(d)
+        queue = [root]
+        for p in queue:  # the list grows as it is read: first in, first out
+            for c, e, side in adjacency[p]:
+                if component[c] < 0:
+                    component[c] = len(sizes)
+                    T[c] = maps[e, side].T @ (maps[e, 1 - side] @ T[p])
+                    queue.append(c)
+        sizes.append(len(queue))
+    sizes = np.array(sizes)
 
     # A run shares its tail, hence its component: its constraints C_e stack
     # into one (m d) x d matrix whose Gram matrix is their sum of C_e^T C_e.
@@ -460,6 +442,6 @@ def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
         C = C.reshape(-1, d)
         G[component[edges[run[0], 0]]] += C.T @ C
 
-    maxdeg = max(1, int(np.bincount(edges.ravel(), minlength=V).max()))
+    maxdeg = max(1, *map(len, adjacency))
     mu = np.linalg.eigvalsh(G)
     return int(np.count_nonzero(mu < (tol * 2 * maxdeg) * sizes[:, None]))

@@ -229,7 +229,8 @@ def build_sheaf(selection: EdgeSelection) -> Sheaf:
     reps = table.reps
     d = reps[0][0].shape[0]
     maps = np.empty((selection.E0, 2, d, d))
-    maps[:] = np.eye(d)
+    # the identity heads, and the baseline tails; the kernel writes aligned tails
+    maps[:, 1 if table.mode == "aligned" else 0:] = np.eye(d)
     if table.mode == "aligned":
         Q, B, k, norms = _compact(reps, bases=True)
         u, v = table.u[:selection.E0], table.v[:selection.E0]

@@ -617,6 +617,51 @@ class TestGlobalSectionDim:
         edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]
         self.assert_matches_eigensolve(planted_sheaf(rng, 8, 3, edges, 3), 3 * 3)
 
+    def test_count_is_independent_of_the_tree(self, rng):
+        # the walk follows edge-index order, so permuting the edges (maps
+        # along) changes its tree; the transported frames change with it,
+        # the count must not
+        def bfs_tree(node_count, edges):
+            adjacency = [[] for _ in range(node_count)]
+            for u, v in edges:
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+            seen, tree = set(), set()
+            for root in range(node_count):
+                if root in seen:
+                    continue
+                seen.add(root)
+                queue = [root]
+                for p in queue:
+                    for c in adjacency[p]:
+                        if c not in seen:
+                            seen.add(c)
+                            tree.add((min(p, c), max(p, c)))
+                            queue.append(c)
+            return frozenset(tree)
+
+        cycle_chord = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]
+        two_cycles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]
+        cases = [(planted_sheaf(rng, 5, 4, cycle_chord, shared), shared)
+                 for shared in (0, 1, 2, 4)]
+        cases.append((planted_sheaf(rng, 8, 3, two_cycles, 3), 3 * 3))
+        for sh, expected in cases:
+            trees = set()
+            for _ in range(8):
+                perm = rng.permutation(sh.edge_count)
+                edges = sh.edges[perm]
+                trees.add(bfs_tree(sh.node_count, edges.tolist()))
+                self.assert_matches_eigensolve(
+                    make_sheaf(sh.node_count, sh.ambient_dim, edges, sh.maps[perm]), expected)
+            assert len(trees) > 1
+
+    def test_deep_walk_on_a_long_cycle(self, rng):
+        # a 300-node cycle: the walk reaches depth 150 from the root, and
+        # the gauge-planted section must survive 150 transport steps
+        n = 300
+        edges = [(u, u + 1) for u in range(n - 1)] + [(0, n - 1)]
+        self.assert_matches_eigensolve(planted_sheaf(rng, n, 3, edges, 3), 3)
+
     def test_forests_and_isolated_nodes(self, rng):
         for _ in range(30):
             n, d = int(rng.integers(1, 14)), int(rng.integers(1, 6))
