@@ -63,6 +63,32 @@ def cross_covariance(S_u: np.ndarray, S_v: np.ndarray) -> np.ndarray:
     return S_u @ S_v.T / S_u.shape[1]
 
 
+def _checked_reps(reps, nodes=None) -> tuple:
+    """The (basis, coeffs) pairs as 2-D float arrays, each checked for finite
+    entries and for shapes that agree with the first pair's. An error names
+    the node by its label in ``nodes``, by default its position in ``reps``."""
+    reps = tuple(reps)
+    nodes = range(len(reps)) if nodes is None else nodes
+    out = []
+    for node, (b, s) in zip(nodes, reps):
+        b = np.atleast_2d(np.asarray(b, float))
+        s = np.atleast_2d(np.asarray(s, float))
+        for name, m in (("basis", b), ("coefficients", s)):
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"node {node}: non-finite entries in its {name}")
+        if b.shape[1] != s.shape[0]:
+            raise ValueError(f"node {node}: basis has {b.shape[1]} columns "
+                             f"but coefficients have {s.shape[0]} rows")
+        if out and b.shape[0] != out[0][0].shape[0]:
+            raise ValueError(f"node {node}: ambient dimension {b.shape[0]}, "
+                             f"node {nodes[0]} has {out[0][0].shape[0]}")
+        if out and s.shape[1] != out[0][1].shape[1]:
+            raise ValueError(f"node {node}: {s.shape[1]} snapshots, "
+                             f"node {nodes[0]} has {out[0][1].shape[1]}")
+        out.append((b, s))
+    return tuple(out)
+
+
 def _edge_rule(A, sigma, norms):
     """Cost, rank and degenerate flag of P pairs from ``A`` (P, m, n), their
     cross products or blocks with the same singular values and Frobenius
@@ -100,24 +126,21 @@ def _compact(reps, *, bases: bool):
     return Q, B, k, norms
 
 
-def _pair_blocks(Q, B, k, tail, heads):
-    """The edge problems of the pairs (tail, h), h in ``heads`` (an array),
-    from ``_compact``'s forms, one ``(pick, (M, Q_tail, Q_h))`` per block
-    size: ``pick`` marks the heads of that size, M = B_tail B_h^T is
-    (P, size, size) and Q_h is (P, d, size). Each pair is sized by its own
-    nodes alone, size = max(1, k_tail, k_h), so its map does not depend on
-    the pairs solved with it."""
-    sizes = np.maximum(1, np.maximum(k[tail], k[heads]))
-    for size in sorted(set(sizes.tolist())):
-        pick = sizes == size
-        M = B[tail, :size] @ B[heads[pick], :size].transpose(0, 2, 1)
-        # Q_tail gets its own contiguous array, laid out as in a one-pair solve
-        yield pick, (M, np.ascontiguousarray(Q[tail, :, :size]), Q[heads[pick], :, :size])
+def _operands(forms, u, v):
+    """The arguments of ``_procrustes`` for the pairs (u[i], v[i]), arrays of
+    node indices, from ``_compact``'s forms ``(Q, B, k, norms)``: the blocks
+    M = B_u B_v^T (P, s, s), the bases Q_u and Q_v (P, d, s) and the norms
+    ||X_u||_F^2 + ||X_v||_F^2. The pairs must share one block size
+    s = max(1, k_u, k_v), which sizes each pair by its own nodes alone, so
+    its map does not depend on the pairs solved with it."""
+    Q, B, k, norms = forms
+    s = max(1, int(k[u].max()), int(k[v].max()))
+    return B[u, :s] @ B[v, :s].transpose(0, 2, 1), Q[u, :, :s], Q[v, :, :s], norms[u] + norms[v]
 
 
 def _procrustes(M, Q_u, Q_v, norms):
-    """Solve P edge problems from their compact forms: M = B_u B_v^T
-    (P, s, s), Q_u (d, s) or (P, d, s) and Q_v (P, d, s), so that the cross
+    """Solve P edge problems from their compact forms (see ``_operands``):
+    M = B_u B_v^T (P, s, s), Q_u and Q_v (P, d, s), so that the cross
     product is X_u X_v^T = Q_u M Q_v^T; return ``(F, cost, sigma, rank,
     degenerate)``.
 
@@ -162,16 +185,12 @@ def procrustes_align(D_u, S_u, D_v, S_v, u: int = 0,
                      v: int = 1) -> tuple[np.ndarray, EdgeCandidate]:
     """Solve the local edge problem of one pair; return ``(F, candidate)``.
     A = X_u X_v^T = 0 is a valid degenerate case: the identity, flagged.
-    The candidate's singular values are padded with zeros to d."""
-    D_u, S_u, D_v, S_v = (np.atleast_2d(np.asarray(m, float)) for m in (D_u, S_u, D_v, S_v))
-    if D_u.shape[0] != D_v.shape[0]:
-        raise ValueError("ambient dimensions differ between nodes")
-    if S_u.shape[1] != S_v.shape[1]:
-        raise ValueError("snapshot counts differ between nodes")
-    Q, B, k, norms = _compact(((D_u, S_u), (D_v, S_v)), bases=True)
-    [(_, blocks)] = _pair_blocks(Q, B, k, 0, np.array([1]))
-    F, cost, sigma, rank, degenerate = (a[0] for a in _procrustes(*blocks, norms[:1] + norms[1:]))
-    sigma = np.concatenate([sigma, np.zeros(max(0, D_u.shape[0] - sigma.size))])
+    The candidate's singular values are padded with zeros to d. Non-finite
+    entries and shapes that disagree raise ``ValueError`` naming u or v."""
+    reps = _checked_reps(((D_u, S_u), (D_v, S_v)), (u, v))
+    operands = _operands(_compact(reps, bases=True), np.array([0]), np.array([1]))
+    F, cost, sigma, rank, degenerate = (a[0] for a in _procrustes(*operands))
+    sigma = np.concatenate([sigma, np.zeros(max(0, F.shape[0] - sigma.size))])
     return F, EdgeCandidate(u, v, float(cost), tuple(sigma.tolist()), int(rank), bool(degenerate))
 
 

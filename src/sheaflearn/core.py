@@ -37,12 +37,13 @@ from .synth import _integer
 # Orthonormality tolerance for restriction maps.
 ORTHO_TOL = 1e-9
 
-# The longest tail run (edges sharing a tail node, see ``_tail_runs``) that
-# total_variation, coboundary_apply, global_section_dim, infer.build_sheaf
-# and infer's pair scoring handle in one matrix product, and the maps per
-# batch of the orthonormality check: bounds their buffers at EDGE_CHUNK x d x N
+# The longest run of ``_runs``, which one batched product handles (edges
+# sharing a tail node in total_variation, coboundary_apply,
+# global_section_dim and infer's pair scoring; kept edges sharing a block
+# size in infer.build_sheaf), and the maps per batch of the orthonormality
+# check. Bounds their buffers at EDGE_CHUNK x d x N
 # (residuals, cross products) and EDGE_CHUNK x d x d (Gram matrices, edge
-# constraints, scoring blocks) values, whatever the edge or pair count.
+# constraints, scoring blocks, maps) values, whatever the edge or pair count.
 EDGE_CHUNK = 128
 
 
@@ -104,9 +105,10 @@ class Sheaf:
     (E, 2, d, d) float array of orthonormal restriction maps with
     ``maps[e] = (F_tail, F_head)``. Both are stored read-only.
 
-    ``ambient_dim`` d is the common stalk dimension used for assembly;
-    ``per_node_dim[u]`` in (0, d] is the effective subspace dimension left at
-    node u after denoising. The canonical constructors orient edges
+    ``ambient_dim`` d is the common stalk dimension used for assembly.
+    ``per_node_dim[u]`` in (0, d] is only validated and serialized: no
+    computation reads it, and ``infer.build_sheaf`` (like ``make_sheaf`` by
+    default) gives every node d. The canonical constructors orient edges
     tail = min(u, v), but any fixed orientation is accepted: the assembled
     Laplacian is orientation-invariant.
     """
@@ -275,12 +277,13 @@ def _node_signals(sheaf: Sheaf, x) -> np.ndarray:
     return X.reshape(V, d, X.shape[1])
 
 
-def _tail_runs(tails: np.ndarray) -> list[np.ndarray]:
-    """Edge indices grouped by tail node: a stable argsort of ``tails`` cut
-    where the tail changes and into pieces of at most EDGE_CHUNK edges, so
-    every edge is in exactly one run and every run shares one tail."""
-    order = np.argsort(tails, kind="stable")
-    bounds = [0, *(np.flatnonzero(np.diff(tails[order])) + 1).tolist(), order.size]
+def _runs(keys: np.ndarray) -> list[np.ndarray]:
+    """Indices grouped by key (a tail node, or a block size): a stable
+    argsort of ``keys`` cut where the key changes and into pieces of at most
+    EDGE_CHUNK indices, so every index is in exactly one run and every run
+    shares one key."""
+    order = np.argsort(keys, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(keys[order])) + 1).tolist(), order.size]
     return [order[lo:min(lo + EDGE_CHUNK, hi)]
             for start, hi in zip(bounds[:-1], bounds[1:])
             for lo in range(start, hi, EDGE_CHUNK)]
@@ -298,7 +301,7 @@ def _coboundary_runs(sheaf: Sheaf, xb: np.ndarray):
     sheaf's runs gather no (m, d, N) copy of their head signals."""
     edges, maps, d = sheaf.edges, sheaf.maps, sheaf.ambient_dim
     general_head = (maps[:, 1] != np.eye(d)).any(axis=(1, 2))
-    for run in _tail_runs(edges[:, 0]):
+    for run in _runs(edges[:, 0]):
         m = run.size
         blocks = (maps[run, 0].reshape(m * d, d) @ xb[edges[run[0], 0]]).reshape(m, d, -1)
         heads = edges[run, 1]

@@ -14,10 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .align import EdgeCandidate, _compact, _edge_rule, _pair_blocks, _procrustes
+from .align import EdgeCandidate, _checked_reps, _compact, _edge_rule, _operands, _procrustes
 # re-exported: perfbench's timing sites and perfbench/selftest.py wrap these names here
 from .align import procrustes_align, unaligned_distance  # noqa: F401
-from .core import Sheaf, _tail_runs, make_sheaf
+from .core import Sheaf, _runs, make_sheaf
 from .synth import _integer
 
 MODES = ("aligned", "baseline")
@@ -104,29 +104,6 @@ class EdgeSelection:
         return float(self.candidates.tv_prefix[self.E0])
 
 
-def _checked_reps(reps) -> tuple:
-    """The (basis, coeffs) pairs as 2-D float arrays, each checked for finite
-    entries and for shapes that agree with node 0."""
-    out = []
-    for node, (b, s) in enumerate(reps):
-        b = np.atleast_2d(np.asarray(b, float))
-        s = np.atleast_2d(np.asarray(s, float))
-        for name, m in (("basis", b), ("coefficients", s)):
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"node {node}: non-finite entries in its {name}")
-        if b.shape[1] != s.shape[0]:
-            raise ValueError(f"node {node}: basis has {b.shape[1]} columns "
-                             f"but coefficients have {s.shape[0]} rows")
-        if out and b.shape[0] != out[0][0].shape[0]:
-            raise ValueError(f"node {node}: ambient dimension {b.shape[0]}, "
-                             f"node 0 has {out[0][0].shape[0]}")
-        if out and s.shape[1] != out[0][1].shape[1]:
-            raise ValueError(f"node {node}: {s.shape[1]} snapshots, "
-                             f"node 0 has {out[0][1].shape[1]}")
-        out.append((b, s))
-    return tuple(out)
-
-
 def _score_aligned(reps) -> Candidates:
     """Aligned costs of all pairs without forming a map.
 
@@ -135,18 +112,17 @@ def _score_aligned(reps) -> Candidates:
     values are those of the k_u x k_v block B_u B_v^T, k_u = min(d, d_u).
     The B_u come from ``align._compact``, as ``build_sheaf``'s do, padded
     with zeros to one size, which leaves the singular values unchanged. The
-    pairs are walked in the tail runs of ``core._tail_runs``, as
-    ``build_sheaf`` walks its edges: each run, one u with consecutive heads
-    v, is decomposed from one matrix product, and no Gram matrix of all
-    nodes is formed. Cost, rank and the degenerate flag come from
-    ``align._edge_rule``, as in ``procrustes_align``.
+    pairs are walked in ``core._runs`` keyed by tail: each run, one u with
+    consecutive heads v, is decomposed from one matrix product, and no Gram
+    matrix of all nodes is formed. Cost, rank and the degenerate flag come
+    from ``align._edge_rule``, as in ``procrustes_align``.
     """
     d = reps[0][0].shape[0]
     _, B, k, norms = _compact(reps, bases=False)
     kmax = B.shape[1]
     u_of, v_of = np.triu_indices(len(reps), 1)
     chunks = []
-    for run in _tail_runs(u_of):
+    for run in _runs(u_of):
         u, vs = u_of[run[0]], v_of[run]
         # a run's heads are consecutive, so B[vs] is a slice; block j is B_v B_u^T,
         # with the singular values and Frobenius norm of its transpose B_u B_v^T
@@ -209,18 +185,19 @@ def build_sheaf(selection: EdgeSelection) -> Sheaf:
     """Assemble the learned sheaf from the winning candidates.
 
     Maps are solved here, for the selected edges only. Aligned candidates
-    get F from the batched kernel ``align._procrustes``, one tail run at a
-    time (the kept edges that share a node u, at most EDGE_CHUNK of them,
-    see ``core._tail_runs``), from the nodes' compact forms: each basis is
-    QR-reduced once (D_u = Q_u R_u, B_u = R_u S_u), and a run's pairs are
-    solved from their small blocks B_u B_v^T, in batches of equal block size
-    max(k_u, k_v); no d x d cross product is formed. F is the Procrustes map
-    U -> V on the data's range and the direct rotation of its complement
-    (the optimal map closest to I), so it is I outside the two nodes'
-    bases. Every F equals ``procrustes_align``'s bit for bit. Baseline
-    candidates get the identity. F sits on the candidate's u side (the tail
-    under the min-first orientation); the head side of the map stack is the
-    identity. Every node gets the full ambient dimension as its stalk.
+    get F from the batched kernel ``align._procrustes``, from the nodes'
+    compact forms: each basis is QR-reduced once (D_u = Q_u R_u,
+    B_u = R_u S_u), and an edge is solved from its small block B_u B_v^T of
+    size max(1, k_u, k_v), in the runs of ``core._runs`` keyed by that size
+    (at most EDGE_CHUNK edges each); no d x d cross product is formed. F is
+    the Procrustes map U -> V on the data's range and the direct rotation
+    of its complement (the optimal map closest to I), so it is I outside
+    the two nodes' bases. ``align._operands`` gathers a run's blocks as it
+    does ``procrustes_align``'s one pair, so every F equals that function's
+    bit for bit. Baseline candidates get the identity. F sits on the
+    candidate's u side (the tail under the min-first orientation); the head
+    side of the map stack is the identity. Every node gets the full ambient
+    dimension as its stalk.
     """
     table = selection.candidates
     if table.reps is None:
@@ -232,10 +209,8 @@ def build_sheaf(selection: EdgeSelection) -> Sheaf:
     # the identity heads, and the baseline tails; the kernel writes aligned tails
     maps[:, 1 if table.mode == "aligned" else 0:] = np.eye(d)
     if table.mode == "aligned":
-        Q, B, k, norms = _compact(reps, bases=True)
-        u, v = table.u[:selection.E0], table.v[:selection.E0]
-        for run in _tail_runs(u):
-            tail, heads = u[run[0]], v[run]
-            for pick, blocks in _pair_blocks(Q, B, k, tail, heads):
-                maps[run[pick], 0] = _procrustes(*blocks, norms[tail] + norms[heads[pick]])[0]
+        forms = _compact(reps, bases=True)
+        u, v, k = table.u[:selection.E0], table.v[:selection.E0], forms[2]
+        for run in _runs(np.maximum(1, np.maximum(k[u], k[v]))):
+            maps[run, 0] = _procrustes(*_operands(forms, u[run], v[run]))[0]
     return make_sheaf(len(reps), d, selection.selected, maps)

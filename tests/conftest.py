@@ -26,13 +26,13 @@ def random_sheaf(rng, node_count, dim, edge_count):
     return make_sheaf(node_count, dim, edges, maps)
 
 
-def assert_tail_runs(runs, tails, chunk):
-    """``runs`` cover every edge exactly once, each shares one tail and is
-    at most ``chunk`` long."""
-    assert np.array_equal(np.sort(np.concatenate(runs)), np.arange(len(tails)))
+def assert_runs(runs, keys, chunk):
+    """``runs`` cover every index of ``keys`` exactly once, each shares one
+    key and is at most ``chunk`` long."""
+    assert np.array_equal(np.sort(np.concatenate(runs)), np.arange(len(keys)))
     for run in runs:
         assert 1 <= run.size <= chunk
-        assert np.all(tails[run] == tails[run[0]])
+        assert np.all(keys[run] == keys[run[0]])
 
 
 def candidate_table(costs_by_pair):

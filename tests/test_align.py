@@ -118,9 +118,26 @@ class TestProcrustes:
                              np.eye(3), rng.standard_normal((3, 5)))
 
     def test_snapshot_mismatch(self, rng):
-        with pytest.raises(ValueError, match="snapshot counts differ between nodes"):
+        with pytest.raises(ValueError, match="node 1: 6 snapshots, node 0 has 5"):
             procrustes_align(np.eye(2), rng.standard_normal((2, 5)),
                              np.eye(2), rng.standard_normal((2, 6)))
+
+    @pytest.mark.parametrize("case, match", [
+        ("nan coefficient", "node 8: non-finite entries in its coefficients"),
+        ("basis wider than coefficients", "node 3: basis has 3 columns but coefficients have 2 rows"),
+        ("inf basis entry", "node 8: non-finite entries in its basis"),
+    ])
+    def test_bad_input_names_the_node(self, rng, case, match):
+        D_u, S_u = np.eye(3), rng.standard_normal((3, 5))
+        D_v, S_v = np.eye(3), rng.standard_normal((3, 5))
+        if case == "nan coefficient":
+            S_v[1, 2] = np.nan
+        elif case == "basis wider than coefficients":
+            S_u = S_u[:2]
+        else:
+            D_v[0, 1] = np.inf
+        with pytest.raises(ValueError, match=match):
+            procrustes_align(D_u, S_u, D_v, S_v, u=3, v=8)
 
 
 class TestAlignedDistance:

@@ -23,7 +23,7 @@ from sheaflearn import (
     select_topology,
     total_variation,
 )
-from conftest import assert_tail_runs, random_edges, random_orthonormal, random_sheaf
+from conftest import assert_runs, random_edges, random_orthonormal, random_sheaf
 
 
 def rotation(theta):
@@ -556,12 +556,12 @@ class TestTailRuns:
             n = int(rng.integers(2, 15))
             sh = oriented_sheaf(rng, n, 1, int(rng.integers(1, n * (n - 1) // 2 + 1)))
             tails = sh.edges[:, 0]
-            runs = sheaflearn.core._tail_runs(tails)
-            assert_tail_runs(runs, tails, 4)
+            runs = sheaflearn.core._runs(tails)
+            assert_runs(runs, tails, 4)
             # one run per tail unless the chunk cuts it
             counts = np.bincount(tails)
             assert len(runs) == int(np.sum(-(-counts // 4)))
-        assert sheaflearn.core._tail_runs(np.zeros(0, np.intp)) == []
+        assert sheaflearn.core._runs(np.zeros(0, np.intp)) == []
 
 
 class TestGlobalSectionDim:
@@ -706,13 +706,13 @@ class TestGlobalSectionDim:
         # every edge reaches the run kernel exactly once, in runs that share
         # a tail and are at most the (patched) chunk long
         runs = []
-        splitter = sheaflearn.core._tail_runs
+        splitter = sheaflearn.core._runs
 
         def recorded(tails):
             runs.extend(splitter(tails))
             return runs
 
-        monkeypatch.setattr(sheaflearn.core, "_tail_runs", recorded)
+        monkeypatch.setattr(sheaflearn.core, "_runs", recorded)
         monkeypatch.setattr(sheaflearn.core, "EDGE_CHUNK", 5)
         complete = random_sheaf(rng, 24, 3, 276)  # tail t has 23 - t edges
         forest = make_sheaf(5, 3, [(0, 1), (1, 2)], [(np.eye(3), np.eye(3))] * 2)
@@ -720,7 +720,7 @@ class TestGlobalSectionDim:
         for sheaf, count in ((complete, 65), (forest, 2), (oriented_sheaf(rng, 12, 2, 40), None)):
             runs.clear()
             global_section_dim(assemble_laplacian(sheaf))
-            assert_tail_runs(runs, sheaf.edges[:, 0], 5)
+            assert_runs(runs, sheaf.edges[:, 0], 5)
             assert count is None or len(runs) == count
 
     def test_scalar_stalks(self, rng):

@@ -9,6 +9,7 @@ from sheaflearn import (
     assemble_laplacian,
     build_sheaf,
     enumerate_candidates,
+    global_section_dim,
     min_edges_for_connectivity,
     select_topology,
     total_variation,
@@ -18,7 +19,8 @@ import sheaflearn.core
 import sheaflearn.infer as infer
 from sheaflearn.infer import MODES
 from sheaflearn.align import EdgeCandidate, procrustes_align, unaligned_distance
-from conftest import assert_tail_runs, candidate_table, random_orthonormal
+from sheaflearn.serialize import load_sheaf, save_sheaf
+from conftest import assert_runs, candidate_table, random_orthonormal
 
 
 def random_reps(rng, node_count, d, n=8):
@@ -59,19 +61,19 @@ def connected_by_bfs(node_count, edges):
     return len(seen) == node_count
 
 
-def record_tail_runs(monkeypatch, chunk):
-    """Cut ``core._tail_runs`` at ``chunk`` edges and record every run that
+def record_runs(monkeypatch, chunk):
+    """Cut ``core._runs`` at ``chunk`` edges and record every run that
     ``infer`` takes from it, in call order."""
     runs = []
-    splitter = infer._tail_runs
+    splitter = infer._runs
 
-    def recorded(tails):
-        cut = splitter(tails)
+    def recorded(keys):
+        cut = splitter(keys)
         runs.extend(cut)
         return cut
 
     monkeypatch.setattr(sheaflearn.core, "EDGE_CHUNK", chunk)
-    monkeypatch.setattr(infer, "_tail_runs", recorded)
+    monkeypatch.setattr(infer, "_runs", recorded)
     return runs
 
 
@@ -344,12 +346,12 @@ class TestScoringMatchesProcrustes:
 
     def test_rows_split_into_several_slices(self, rng, monkeypatch):
         # rows of up to 18 pairs cut into slices of 4, one of them partial
-        runs = record_tail_runs(monkeypatch, 4)
+        runs = record_runs(monkeypatch, 4)
         reps = mixed_reps(rng)
         cands = enumerate_candidates(reps)
         self.assert_matches(cands, reps)
         u_of, v_of = np.triu_indices(len(reps), 1)
-        assert_tail_runs(runs, u_of, 4)
+        assert_runs(runs, u_of, 4)
         assert any(run.size < 4 for run in runs) and any(run.size == 4 for run in runs)
         for run in runs:  # the heads of a run are consecutive
             assert np.all(np.diff(v_of[run]) == 1)
@@ -420,19 +422,19 @@ class TestMapsForChosenEdgesOnly:
 
     @pytest.mark.parametrize("E0", [13, 21])
     def test_maps_solved_in_slices_equal_one_pair_solves(self, rng, monkeypatch, E0):
-        # tail runs cut at 4 edges (node 0 heads up to 6 kept edges); E0 = 21
-        # keeps every pair, including the 11 degenerate ones of the
-        # empty-support node 2 and of node 5, whose tiny cross products are
-        # not exactly zero
+        # runs cut at 4 edges (every pair has block size 5); E0 = 21 keeps
+        # every pair, including the 11 degenerate ones of the empty-support
+        # node 2 and of node 5, whose tiny cross products are not exactly zero
         reps = random_reps(rng, 7, 5)
         reps[2] = (np.zeros((5, 0)), np.zeros((0, 8)))
         reps[5] = (reps[5][0], 1e-16 * reps[5][1])
         cands = enumerate_candidates(reps)
         # installed after scoring, so only build_sheaf's runs are recorded
-        runs = record_tail_runs(monkeypatch, 4)
+        runs = record_runs(monkeypatch, 4)
         sheaf = build_sheaf(select_topology(cands, E0))
         assert sheaf.edge_count == E0
-        assert_tail_runs(runs, sheaf.edges[:, 0], 4)
+        k = np.array([min(D.shape) for D, _ in reps])
+        assert_runs(runs, np.maximum(1, k[sheaf.edges].max(axis=1)), 4)
         assert any(run.size == 4 for run in runs)
         for e, (u, v) in enumerate(sheaf.edges.tolist()):
             F, ref = procrustes_align(*reps[u], *reps[v])
@@ -441,6 +443,32 @@ class TestMapsForChosenEdgesOnly:
             if ref.degenerate:
                 assert np.array_equal(sheaf.maps[e, 0], np.eye(5))
         assert 0 < cands.degenerate[:E0].sum() <= 11 == cands.degenerate.sum()
+
+    def test_one_kernel_call_per_block_size(self, rng, monkeypatch):
+        # every pair of mixed_reps, in 6 block sizes of at most 126 pairs, so
+        # no run is cut: one batch per size, whatever the tails
+        solved = self.counting(monkeypatch)
+        reps = mixed_reps(rng)
+        cands = enumerate_candidates(reps)
+        sheaf = build_sheaf(select_topology(cands, len(cands)))
+        k = np.array([min(D.shape) for D, _ in reps])
+        counts = np.bincount(np.maximum(1, k[sheaf.edges].max(axis=1)))
+        assert np.count_nonzero(counts) >= 3 and counts.max() <= sheaflearn.core.EDGE_CHUNK
+        assert sorted(solved) == sorted(counts[counts > 0].tolist())
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_edges_kept(self, rng, tmp_path, mode):
+        reps = mixed_reps(rng)
+        V, d = len(reps), reps[0][0].shape[0]
+        sheaf = build_sheaf(select_topology(enumerate_candidates(reps, mode), 0))
+        assert sheaf.edges.shape == (0, 2) and sheaf.maps.shape == (0, 2, d, d)
+        save_sheaf(sheaf, tmp_path / "sheaf.json")
+        loaded = load_sheaf(tmp_path / "sheaf.json")
+        assert np.array_equal(loaded.edges, sheaf.edges)
+        assert np.array_equal(loaded.maps, sheaf.maps)
+        L = assemble_laplacian(loaded)
+        assert global_section_dim(L) == V * d
+        assert total_variation(L, rng.standard_normal((V * d, 3))) == 0.0
 
     def test_baseline_costs_equal_unaligned_distance(self, rng):
         reps = mixed_reps(rng)
