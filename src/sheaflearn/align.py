@@ -1,4 +1,5 @@
-"""Closed-form alignment of two nodes' denoised signals.
+"""Closed-form alignment of two nodes' denoised signals, one pair at a time
+or batched over every pair of a graph.
 
 For compact representations X_u = D_u S_u and X_v = D_v S_v the best
 orthonormal map F minimizing ||F X_u - X_v||_F^2 satisfies F U = V, where
@@ -13,9 +14,12 @@ bases. The optimized map sits on the u side; the v side keeps the identity
 Everything is solved from the QR-reduced compact forms (``_compact``),
 never from a d x d cross product. The rules of the solve (degenerate test,
 cost clamp, rank rule, the map) live once, in the batched kernel
-``_procrustes`` and its ``_edge_rule``: ``procrustes_align`` is its one-pair
-call, and ``infer`` scores every pair through ``_edge_rule`` without a map,
-then solves the kept edges' maps only.
+``_procrustes`` and its ``_edge_rule``, and so does the pair math ``infer``
+runs on a whole graph, each batched function beside the one-pair function
+it equals: ``_score_pairs`` scores every pair through ``_edge_rule``
+without a map (``procrustes_align``'s costs), ``_solve_maps`` solves the
+kept edges' maps only (``procrustes_align``'s maps), and
+``_pair_distances`` is ``unaligned_distance`` for every pair.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import _runs
 
 # Singular values below this fraction of sigma_max do not count towards rank.
 RANK_RTOL = 1e-10
@@ -102,25 +108,22 @@ def _edge_rule(A, sigma, norms):
     return cost, rank, degenerate
 
 
-def _compact(reps, *, bases: bool):
+def _compact(reps):
     """The compact forms of the nodes ``reps`` (basis, coefficients): with
     the reduced QR D_u = Q_u R_u, return ``(Q, B, k, norms)``: the bases
-    ``Q`` (V, d, kmax), or None unless ``bases``; the blocks B_u = R_u S_u
-    (V, kmax, N), each zero-padded past its k_u = min(d, d_u) rows (and Q_u
-    past its k_u columns); ``k`` (V,); and norms[u] = ||D_u S_u||_F^2.
-    R_u is the same with or without Q_u, so B is too."""
+    ``Q`` (V, d, kmax) and the blocks B_u = R_u S_u (V, kmax, N), each
+    zero-padded past its k_u = min(d, d_u) columns or rows; ``k`` (V,); and
+    norms[u] = ||D_u S_u||_F^2. kmax is at least 1, so nodes whose supports
+    are all empty still get one zero column and row."""
     d, N = reps[0][0].shape[0], reps[0][1].shape[1]
     k = np.array([min(b.shape) for b, _ in reps], dtype=np.intp)
     kmax = max(1, int(k.max()))
-    Q = np.zeros((len(reps), d, kmax)) if bases else None
+    Q = np.zeros((len(reps), d, kmax))
     B = np.zeros((len(reps), kmax, N))
     for node, (b, s) in enumerate(reps):
         if not k[node]:  # a node with an empty support keeps zero blocks
             continue
-        if bases:
-            Q[node, :, :k[node]], r = np.linalg.qr(b)
-        else:
-            r = np.linalg.qr(b, mode="r")
+        Q[node, :, :k[node]], r = np.linalg.qr(b)
         B[node, :k[node]] = r @ s
     norms = np.array([np.sum(x * x) for x in (b @ s for b, s in reps)])
     return Q, B, k, norms
@@ -188,10 +191,53 @@ def procrustes_align(D_u, S_u, D_v, S_v, u: int = 0,
     The candidate's singular values are padded with zeros to d. Non-finite
     entries and shapes that disagree raise ``ValueError`` naming u or v."""
     reps = _checked_reps(((D_u, S_u), (D_v, S_v)), (u, v))
-    operands = _operands(_compact(reps, bases=True), np.array([0]), np.array([1]))
+    operands = _operands(_compact(reps), np.array([0]), np.array([1]))
     F, cost, sigma, rank, degenerate = (a[0] for a in _procrustes(*operands))
     sigma = np.concatenate([sigma, np.zeros(max(0, F.shape[0] - sigma.size))])
     return F, EdgeCandidate(u, v, float(cost), tuple(sigma.tolist()), int(rank), bool(degenerate))
+
+
+def _score_pairs(reps):
+    """Aligned costs of all pairs without forming a map: the columns
+    ``(u, v, cost, rank, degenerate, sigma)`` of the pairs u < v of the
+    checked ``reps``, with ``sigma`` (P, d) padded with zeros.
+
+    The cross product X_u X_v^T = Q_u (B_u B_v^T) Q_v^T has the singular
+    values of the block B_u B_v^T (``_compact``'s blocks, zero-padded to
+    kmax, which leaves them unchanged), and cost, rank and the degenerate
+    flag come from ``_edge_rule``, as in ``procrustes_align``. The pairs
+    are walked in ``core._runs`` keyed by tail: each run, one u with
+    consecutive heads v, is decomposed from one matrix product, and no Gram
+    matrix of all nodes is formed.
+    """
+    Q, B, k, norms = _compact(reps)
+    d, kmax = Q.shape[1:]
+    u_of, v_of = np.triu_indices(len(reps), 1)
+    chunks = []
+    for run in _runs(u_of):
+        u, vs = u_of[run[0]], v_of[run]
+        # a run's heads are consecutive, so B[vs] is a slice; block j is B_v B_u^T,
+        # with the singular values and Frobenius norm of its transpose B_u B_v^T
+        blocks = (B[vs[0]:vs[-1] + 1].reshape(-1, B.shape[2]) @ B[u].T).reshape(-1, kmax, kmax)
+        sigma = np.zeros((run.size, d))
+        sigma[:, :kmax] = np.linalg.svd(blocks, compute_uv=False)
+        sigma[np.arange(d) >= np.minimum(k[u], k[vs])[:, None]] = 0.0
+        chunks.append((*_edge_rule(blocks, sigma, norms[u] + norms[vs]), sigma))
+    return (u_of, v_of, *map(np.concatenate, zip(*chunks)))
+
+
+def _solve_maps(reps, u, v, out):
+    """Write the map F of each pair (u[i], v[i]) of the checked ``reps``
+    into out[i], without a d x d cross product: the pairs are solved in the
+    runs of ``core._runs`` keyed by their block size max(1, k_u, k_v) (at
+    most EDGE_CHUNK pairs each), through the ``_operands`` that
+    ``procrustes_align`` gathers for its one pair, so every F equals that
+    function's bit for bit. ``out`` is written in place, so the caller's map
+    stack is the only (P, d, d) array."""
+    forms = _compact(reps)
+    k = forms[2]
+    for run in _runs(np.maximum(1, np.maximum(k[u], k[v]))):
+        out[run] = _procrustes(*_operands(forms, u[run], v[run]))[0]
 
 
 def aligned_distance(D_u, S_u, D_v, S_v) -> float:
@@ -204,3 +250,16 @@ def unaligned_distance(D_u, S_u, D_v, S_v) -> float:
     """Plain squared Frobenius distance between the denoised signals."""
     diff = np.atleast_2d(D_u) @ np.atleast_2d(S_u) - np.atleast_2d(D_v) @ np.atleast_2d(S_v)
     return float(np.sum(diff * diff))
+
+
+def _pair_distances(reps):
+    """Plain distances ||X_u - X_v||_F^2 of all pairs u < v of the checked
+    ``reps``, each X_u = D_u S_u formed once, equal bit for bit to
+    ``unaligned_distance``: the columns ``(u, v, cost, rank, degenerate,
+    sigma)``, with rank 0, no degenerate pair and a (P, 0) ``sigma``."""
+    X = [b @ s for b, s in reps]
+    u_of, v_of = np.triu_indices(len(X), 1)
+    cost = [np.sum(diff * diff) for diff in
+            (X[u] - X[v] for u, v in zip(u_of.tolist(), v_of.tolist()))]
+    P = u_of.size
+    return u_of, v_of, cost, np.zeros(P, np.intp), np.zeros(P, bool), np.zeros((P, 0))

@@ -39,8 +39,8 @@ ORTHO_TOL = 1e-9
 
 # The longest run of ``_runs``, which one batched product handles (edges
 # sharing a tail node in total_variation, coboundary_apply,
-# global_section_dim and infer's pair scoring; kept edges sharing a block
-# size in infer.build_sheaf), and the maps per batch of the orthonormality
+# global_section_dim and align's pair scoring; kept edges sharing a block
+# size in align's map solve), and the maps per batch of the orthonormality
 # check. Bounds their buffers at EDGE_CHUNK x d x N
 # (residuals, cross products) and EDGE_CHUNK x d x d (Gram matrices, edge
 # constraints, scoring blocks, maps) values, whatever the edge or pair count.

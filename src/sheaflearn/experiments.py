@@ -56,6 +56,12 @@ class SweepSpec:
             DenoiseConfig(alpha=alpha)
         for snr_db in self.snr_grid:
             self._synth_config(snr_db, self.seed)
+        # one dataset, report row and plot panel per value, as report.csv prints it
+        for name, values in (("alpha_grid", [f"{a:.12g}" for a in self.alpha_grid]),
+                             ("snr_grid", [f"{s:.12g}" for s in self.snr_grid]),
+                             ("e0_grid", self.e0_grid or ()), ("modes", self.modes)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} values must be distinct, got {list(getattr(self, name))}")
 
     def _synth_config(self, snr_db: float, seed: int) -> SynthConfig:
         return SynthConfig(node_count=self.node_count, ambient_dim=self.ambient_dim,
@@ -187,10 +193,10 @@ def emit_plots(report: RunReport, out_dir) -> list[Path]:
                    if r.mode == mode and r.alpha == alpha and r.snr_db == snr]
             if pts:
                 series.append((mode, style, pts))
-        path = out / f"tv_alpha{alpha:g}_snr{snr:g}.svg"
+        path = out / f"tv_alpha{alpha:.12g}_snr{snr:.12g}.svg"
         svg_line_chart(
             series, path,
-            title=f"Total variation (alpha={alpha:g}, SNR={snr:g} dB)",
+            title=f"Total variation (alpha={alpha:.12g}, SNR={snr:.12g} dB)",
             xlabel="number of edges E0", ylabel="total variation",
         )
         paths.append(path)

@@ -13,6 +13,7 @@ requested per-node SNR.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass, field
@@ -46,12 +47,12 @@ class SynthConfig:
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int; a float or any other non-integer raises a
-    TypeError naming the setting ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; a float, a bool or any other non-integer raises
+    a TypeError naming the setting ``name``."""
+    with contextlib.suppress(TypeError):
+        if not isinstance(value, bool):  # operator.index(True) is 1
+            return operator.index(value)
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_protocol(seed: int, snapshots: int, rho: float, snr_db: float) -> None:

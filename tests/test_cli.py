@@ -354,6 +354,25 @@ BAD_INPUTS = {
     "sweep one node": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG, "node_count": 1,
                                                              "e0_grid": None}),
                        ["sweep", "--config", "{}"], "{}: a sweep needs at least two nodes"),
+    "generate snapshots bool": (lambda t: write_json(t / "cfg.json", {**GEN_CFG,
+                                                                       "snapshots": True}),
+                                ["generate", "--config", "{}"],
+                                "{}: snapshots must be an integer, got True\n"),
+    "generate node_count bool": (lambda t: write_json(t / "cfg.json", {"node_count": True}),
+                                 ["generate", "--config", "{}"],
+                                 "{}: node_count must be an integer, got True\n"),
+    "denoise max_iters bool": (lambda t: write_json(t / "cfg.json", {"max_iters": True}),
+                               ["denoise", "--data", "d", "--config", "{}"],
+                               "{}: max_iters must be an integer, got True\n"),
+    "sweep e0 bool": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG, "e0_grid": [True]}),
+                      ["sweep", "--config", "{}"],
+                      "{}: e0_grid entry must be an integer, got True\n"),
+    "sweep repeated snr": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG,
+                                                                 "snr_grid": [20.0, 20.0]}),
+                           ["sweep", "--config", "{}"], "{}: snr_grid values must be distinct"),
+    "sweep repeated alpha": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG,
+                                                                   "alpha_grid": [0.5, 0.5]}),
+                             ["sweep", "--config", "{}"], "{}: alpha_grid values must be distinct"),
     "missing data": (lambda t: str(t / "nowhere"),
                      ["denoise", "--data", "{}"], "{}/manifest.json: No such file"),
     "missing codes": (lambda t: str(t / "nowhere"),

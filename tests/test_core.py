@@ -304,7 +304,8 @@ class TestArrayValidation:
 
     @pytest.mark.parametrize("sizes, name", [((3.0, 1, None), "node_count"),
                                              ((3, 1.0, None), "ambient_dim"),
-                                             ((3, 1, [1, 1.0, True]), r"per_node_dim\[1\]")])
+                                             ((3, 1, [1, 1.0, True]), r"per_node_dim\[1\]"),
+                                             ((3, 1, [1, True, 1]), r"per_node_dim\[1\]")])
     def test_non_integer_sizes_rejected(self, sizes, name):
         node_count, dim, per_node_dim = sizes
         maps = self.arrays(3, 1)[1][:1]
@@ -324,7 +325,7 @@ class TestArrayValidation:
 
     def test_sizes_stored_as_int(self):
         maps = self.arrays(3, 1)[1][:1]
-        sh = make_sheaf(np.int64(3), np.int64(1), [(0, 1)], maps, [1, np.int64(1), True])
+        sh = make_sheaf(np.int64(3), np.int64(1), [(0, 1)], maps, [1, np.int64(1), np.uint8(1)])
         assert sh.per_node_dim == (1, 1, 1)
         assert all(type(k) is int for k in (sh.node_count, sh.ambient_dim, *sh.per_node_dim))
 

@@ -114,6 +114,17 @@ def test_emit_plots(small_report, tmp_path):
     assert "polyline" in body and "dasharray" in body
 
 
+def test_emit_plots_names_panels_as_the_report_prints_them(tmp_path):
+    # %g keeps 6 significant digits, so both panels were tv_alpha0.1_snr20.svg
+    report = RunReport([ReportRow(mode, alpha, 20.0, e0, tv, None, 1, 0.0)
+                        for mode in ("aligned", "baseline") for alpha in (0.1, 0.1000001)
+                        for e0, tv in ((1, 1.0), (2, 3.0))])
+    paths = emit_plots(report, tmp_path)
+    assert [p.name for p in paths] == ["tv_alpha0.1_snr20.svg", "tv_alpha0.1000001_snr20.svg"]
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+    assert "alpha=0.1000001," in paths[1].read_text()
+
+
 def test_emit_plots_empty_report(tmp_path):
     with pytest.raises(ValueError):
         emit_plots(RunReport(), tmp_path)
@@ -166,6 +177,19 @@ def test_spec_rejected_before_any_data_is_drawn(kwargs):
 def test_non_integer_count_names_its_field(kwargs, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         SweepSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"snr_grid": (20.0, 20.0)}, "snr_grid"),
+    ({"alpha_grid": (0.5, 0.5)}, "alpha_grid"),
+    ({"alpha_grid": (0.1, 0.1 + 1e-14)}, "alpha_grid"),  # both print as 0.1
+    ({"node_count": 8, "e0_grid": (2, 5, 2)}, "e0_grid"),
+    ({"modes": ("aligned", "aligned")}, "modes"),
+], ids=["snr", "alpha", "alpha_as_printed", "e0", "modes"])
+def test_repeated_grid_value_rejected(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} values must be distinct"):
+        SweepSpec(**kwargs)
+    assert SweepSpec(alpha_grid=(0.1, 0.1000001)).alpha_grid == (0.1, 0.1000001)
 
 
 def no_draw(*args, **kwargs):

@@ -63,9 +63,9 @@ def connected_by_bfs(node_count, edges):
 
 def record_runs(monkeypatch, chunk):
     """Cut ``core._runs`` at ``chunk`` edges and record every run that
-    ``infer`` takes from it, in call order."""
+    ``align``'s batched scoring and map solve take from it, in call order."""
     runs = []
-    splitter = infer._runs
+    splitter = align._runs
 
     def recorded(keys):
         cut = splitter(keys)
@@ -73,7 +73,7 @@ def record_runs(monkeypatch, chunk):
         return cut
 
     monkeypatch.setattr(sheaflearn.core, "EDGE_CHUNK", chunk)
-    monkeypatch.setattr(infer, "_runs", recorded)
+    monkeypatch.setattr(align, "_runs", recorded)
     return runs
 
 
@@ -389,8 +389,7 @@ class TestScoringMatchesProcrustes:
 
 class TestMapsForChosenEdgesOnly:
     def counting(self, monkeypatch):
-        """Count the pairs the batched Procrustes kernel solves, through
-        either module's binding of it."""
+        """Count the pairs the batched Procrustes kernel solves."""
         solved = []
         original = align._procrustes
 
@@ -399,7 +398,6 @@ class TestMapsForChosenEdgesOnly:
             return original(M, Q_u, Q_v, norms)
 
         monkeypatch.setattr(align, "_procrustes", counted)
-        monkeypatch.setattr(infer, "_procrustes", counted)
         return solved
 
     def test_maps_solved_only_for_selected_edges(self, rng, monkeypatch):
@@ -469,6 +467,20 @@ class TestMapsForChosenEdgesOnly:
         L = assemble_laplacian(loaded)
         assert global_section_dim(L) == V * d
         assert total_variation(L, rng.standard_normal((V * d, 3))) == 0.0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_support_empty(self, mode):
+        # every basis is d x 0, so the compact blocks are clamped to one zero row
+        V, d = 3, 4
+        reps = [(np.zeros((d, 0)), np.zeros((0, 8))) for _ in range(V)]
+        cands = enumerate_candidates(reps, mode)
+        assert len(cands) == 3 and np.all(cands.cost == 0.0)
+        if mode == "aligned":
+            assert np.all(cands.degenerate) and np.all(cands.rank == 0)
+            assert np.all(cands.sigma == 0.0) and cands.sigma.shape == (3, d)
+        sheaf = build_sheaf(select_topology(cands, len(cands)))
+        assert np.array_equal(sheaf.maps, np.broadcast_to(np.eye(d), (3, 2, d, d)))
+        assert global_section_dim(assemble_laplacian(sheaf)) == d
 
     def test_baseline_costs_equal_unaligned_distance(self, rng):
         reps = mixed_reps(rng)
