@@ -17,9 +17,10 @@ cost clamp, rank rule, the map) live once, in the batched kernel
 ``_procrustes`` and its ``_edge_rule``, and so does the pair math ``infer``
 runs on a whole graph, each batched function beside the one-pair function
 it equals: ``_score_pairs`` scores every pair through ``_edge_rule``
-without a map (``procrustes_align``'s costs), ``_solve_maps`` solves the
-kept edges' maps only (``procrustes_align``'s maps), and
-``_pair_distances`` is ``unaligned_distance`` for every pair.
+without a map (``procrustes_align``'s costs), and ``_solve_maps`` solves
+the kept edges' maps only (``procrustes_align``'s maps). The plain distance
+has one implementation, ``_pair_distances`` over every pair, and
+``unaligned_distance`` is its two-node call.
 """
 
 from __future__ import annotations
@@ -120,12 +121,14 @@ def _compact(reps):
     kmax = max(1, int(k.max()))
     Q = np.zeros((len(reps), d, kmax))
     B = np.zeros((len(reps), kmax, N))
+    norms = np.empty(len(reps))
     for node, (b, s) in enumerate(reps):
+        x = b @ s
+        norms[node] = np.sum(x * x)
         if not k[node]:  # a node with an empty support keeps zero blocks
             continue
         Q[node, :, :k[node]], r = np.linalg.qr(b)
         B[node, :k[node]] = r @ s
-    norms = np.array([np.sum(x * x) for x in (b @ s for b, s in reps)])
     return Q, B, k, norms
 
 
@@ -247,16 +250,17 @@ def aligned_distance(D_u, S_u, D_v, S_v) -> float:
 
 
 def unaligned_distance(D_u, S_u, D_v, S_v) -> float:
-    """Plain squared Frobenius distance between the denoised signals."""
-    diff = np.atleast_2d(D_u) @ np.atleast_2d(S_u) - np.atleast_2d(D_v) @ np.atleast_2d(S_v)
-    return float(np.sum(diff * diff))
+    """Plain squared Frobenius distance between the denoised signals, from
+    ``_pair_distances`` on the one pair. Non-finite entries and shapes that
+    disagree raise ``ValueError`` naming node 0 or 1."""
+    return float(_pair_distances(_checked_reps(((D_u, S_u), (D_v, S_v))))[2][0])
 
 
 def _pair_distances(reps):
     """Plain distances ||X_u - X_v||_F^2 of all pairs u < v of the checked
-    ``reps``, each X_u = D_u S_u formed once, equal bit for bit to
-    ``unaligned_distance``: the columns ``(u, v, cost, rank, degenerate,
-    sigma)``, with rank 0, no degenerate pair and a (P, 0) ``sigma``."""
+    ``reps``, each X_u = D_u S_u formed once (``unaligned_distance`` is the
+    two-node call): the columns ``(u, v, cost, rank, degenerate, sigma)``,
+    with rank 0, no degenerate pair and a (P, 0) ``sigma``."""
     X = [b @ s for b, s in reps]
     u_of, v_of = np.triu_indices(len(X), 1)
     cost = [np.sum(diff * diff) for diff in

@@ -8,8 +8,9 @@ maps as one (E, 2, d, d) stack with maps[e] = (F_tail, F_head), which every
 function below reads directly. Total variation and the coboundary are
 computed one tail run at a time: the edges that share a tail node, in pieces
 of at most EDGE_CHUNK, so one matrix product applies all of a run's tail maps
-to the tail's signal. A head map that is bit for bit the identity is not
-applied, since I x = x exactly. The global section count
+to the tail's signal; the head maps are applied one edge at a time, and one
+that is bit for bit the identity is not applied, since I x = x exactly. The
+global section count
 dim H^0 = dim ker L takes one breadth-first walk per component,
 which finds the component and transports a root value along the walk's tree
 in the same pass, then tests that value on every edge through the same
@@ -32,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .synth import _integer
+from .synth import _integer, _real
 
 # Orthonormality tolerance for restriction maps.
 ORTHO_TOL = 1e-9
@@ -53,8 +54,8 @@ class SheafStructureError(ValueError):
 
 def _edge_array(edges) -> np.ndarray:
     """``edges`` as a new (E, 2) integer array. An edge that is not a pair, or
-    a node index that is not an integer, raises SheafStructureError naming
-    the first such edge."""
+    a node index that is not an integer (a bool is not one), raises
+    SheafStructureError naming the first such edge."""
     try:
         raw = np.array(edges)
     except ValueError:  # ragged: the edges do not stack
@@ -68,9 +69,12 @@ def _edge_array(edges) -> np.ndarray:
         raw = raw.reshape(0, 2)
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise SheafStructureError(f"edges have shape {raw.shape}, expected (E, 2)")
-    if raw.dtype.kind not in "iub":
+    # np.array reads a bool among integers as an integer, so only an integer
+    # array is taken as it is, and anything else is read entry by entry
+    if raw.dtype.kind not in "iu" or not isinstance(edges, np.ndarray):
         for e, edge in enumerate(np.asarray(edges, dtype=object).tolist()):
-            if not all(isinstance(i, (int, np.integer)) for i in edge):
+            if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                       for i in edge):
                 raise SheafStructureError(
                     f"edge {e} is {tuple(edge)!r}: node indices must be integers")
     return raw.astype(np.intp, copy=False)
@@ -294,22 +298,20 @@ def _coboundary_runs(sheaf: Sheaf, xb: np.ndarray):
     indices and their coboundary blocks F_tail x_tail - F_head x_head, shape
     (m, d, N), of the node signals ``xb`` (V, d, N).
 
-    One product applies the run's stacked tail maps to the tail's signal. A
-    head map that is bit for bit the identity is not applied: I x = x
-    exactly, so the blocks equal the per-edge products bit for bit. Such a
-    head's signal is subtracted in place, one edge at a time, so a learned
-    sheaf's runs gather no (m, d, N) copy of their head signals."""
+    One product applies the run's stacked tail maps to the tail's signal.
+    Every head map is then applied in place, one edge at a time, so a run
+    gathers no (m, d, N) copy of its head signals: a head map that is bit for
+    bit the identity is not applied (I x = x exactly) and its signal is
+    subtracted, any other is one F_head x_head product. The blocks equal the
+    per-edge products bit for bit."""
     edges, maps, d = sheaf.edges, sheaf.maps, sheaf.ambient_dim
-    general_head = (maps[:, 1] != np.eye(d)).any(axis=(1, 2))
+    eye = np.eye(d)
     for run in _runs(edges[:, 0]):
         m = run.size
         blocks = (maps[run, 0].reshape(m * d, d) @ xb[edges[run[0], 0]]).reshape(m, d, -1)
-        heads = edges[run, 1]
-        general = general_head[run]
-        if general.any():
-            blocks[general] -= maps[run[general], 1] @ xb[heads[general]]
-        for j in np.flatnonzero(~general).tolist():
-            blocks[j] -= xb[heads[j]]
+        identity = (maps[run, 1] == eye).all(axis=(1, 2)).tolist()
+        for j, (e, head) in enumerate(zip(run.tolist(), edges[run, 1].tolist())):
+            blocks[j] -= xb[head] if identity[j] else maps[e, 1] @ xb[head]
         yield run, blocks
 
 
@@ -408,7 +410,7 @@ def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
 
     ``tol`` must lie in (0, 1).
     """
-    if not 0.0 < tol < 1.0:
+    if not 0.0 < _real("tol", tol) < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     sheaf = L.sheaf
     V, d = sheaf.node_count, sheaf.ambient_dim

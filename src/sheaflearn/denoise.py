@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ORTHO_TOL
-from .synth import _integer
+from .synth import _integer, _real
 
 
 class EmptySupportError(ValueError):
@@ -65,13 +65,13 @@ class DenoiseConfig:
     support_threshold: float = 1e-6  # relative to the largest row norm
 
     def __post_init__(self):
-        if self.alpha < 0 or not math.isfinite(self.alpha):
+        if _real("alpha", self.alpha) < 0 or not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
-        if not 0 < self.rel_tol < math.inf:
+        if not 0 < _real("rel_tol", self.rel_tol) < math.inf:
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if _integer("max_iters", self.max_iters) < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if not 0 <= self.support_threshold < 1:
+        if not 0 <= _real("support_threshold", self.support_threshold) < 1:
             raise ValueError(f"support_threshold must lie in [0, 1), got {self.support_threshold}")
 
 

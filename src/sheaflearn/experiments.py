@@ -134,7 +134,7 @@ def run_tv_sweep(spec: SweepSpec, threads: int = 1) -> RunReport:
     """Run the full pipeline at every (alpha, snr) grid point and tabulate
     TV(E0) per mode. Grid points are independent and may run concurrently
     on ``threads`` (at least 1) worker threads."""
-    if threads < 1:
+    if _integer("threads", threads) < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     data_seeds = [int(s) for s in np.random.SeedSequence(spec.seed).generate_state(
         len(spec.snr_grid), dtype=np.uint64) >> 1]

@@ -6,7 +6,7 @@ timestamps. CSV rows are formatted with one ``%`` per row, and ``save_sheaf``
 streams sheaf.json one edge at a time; both produce the same bytes as the
 per-float ``"%.17g"`` loop and ``json.dumps(doc, indent=2, sort_keys=True)``.
 The identity map, which every learned sheaf holds as F_head, is formatted once
-and its text reused.
+per size, as CSV rows and as a JSON map, and both writers reuse that text.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ def _csv_rows(m: np.ndarray) -> str:
 
 
 @functools.lru_cache(maxsize=4)
-def _identity_csv(d: int) -> tuple[bytes, str]:
-    """The d x d identity's bytes and its CSV rows, formatted once per size."""
+def _identity(d: int) -> tuple[bytes, str, str]:
+    """The d x d identity's bytes, its CSV rows and its JSON map text
+    (``_json_map``), formatted once per size."""
     eye = np.eye(d)
-    return eye.tobytes(), _csv_rows(eye)
+    return eye.tobytes(), _csv_rows(eye), _json_map(eye)
 
 
 def matrix_to_csv(matrix: np.ndarray, path) -> None:
@@ -43,8 +44,8 @@ def matrix_to_csv(matrix: np.ndarray, path) -> None:
     equal to the identity reuses the identity's text."""
     m = np.atleast_2d(np.asarray(matrix, float))
     rows, cols = m.shape
-    if rows == cols and m.tobytes() == _identity_csv(cols)[0]:
-        body = _identity_csv(cols)[1]
+    if rows == cols and m.tobytes() == _identity(cols)[0]:
+        body = _identity(cols)[1]
     else:
         body = _csv_rows(m)
     Path(path).write_text(",".join(map(str, range(cols))) + "\n" + body)
@@ -104,8 +105,7 @@ def save_sheaf(sheaf: Sheaf, path) -> None:
     """Write ``{nodes, ambient_dim, per_node_dim, edges: [{tail, head,
     F_tail, F_head}]}`` with row-major maps, one edge at a time, in the exact
     layout of ``json.dumps(doc, indent=2, sort_keys=True)``."""
-    eye = np.eye(sheaf.ambient_dim)
-    eye_bytes, eye_text = eye.tobytes(), _json_map(eye)
+    eye_bytes, _, eye_text = _identity(sheaf.ambient_dim)
     with Path(path).open("w") as f:
         f.write('{\n  "ambient_dim": %d,\n  "edges": [' % sheaf.ambient_dim)
         for e, ((u, v), pair) in enumerate(zip(sheaf.edges.tolist(), sheaf.maps)):
@@ -119,9 +119,10 @@ def save_sheaf(sheaf: Sheaf, path) -> None:
                 % (sheaf.node_count, _json_list(["%d" % k for k in sheaf.per_node_dim], 4)))
 
 
-def sheaf_from_dict(doc: dict, source: str = "sheaf document") -> Sheaf:
-    """The sheaf a ``save_sheaf`` document describes. A map that is not d x d
-    numbers raises ``ValueError`` naming ``source`` and the edge."""
+def load_sheaf(path) -> Sheaf:
+    """The sheaf a ``save_sheaf`` file describes. A map that is not d x d
+    numbers raises ``ValueError`` naming the file and the edge."""
+    doc = json.loads(Path(path).read_text())
     d = _integer("ambient_dim", doc["ambient_dim"])
     if d <= 0:  # checked before d sizes the map stack
         raise ValueError(f"ambient_dim must be positive, got {d}")
@@ -134,14 +135,10 @@ def sheaf_from_dict(doc: dict, source: str = "sheaf document") -> Sheaf:
             except (TypeError, ValueError):
                 m = None
             if m is None or m.size != d * d:
-                raise ValueError(f"{source}: edge {e}: {key} is not {d}x{d} numbers")
+                raise ValueError(f"{path}: edge {e}: {key} is not {d}x{d} numbers")
             flat.append(m)
     maps = np.stack(flat).reshape(len(edges), 2, d, d) if flat else np.empty((0, 2, d, d))
     return make_sheaf(doc["nodes"], d, edges, maps, per_node_dim=doc["per_node_dim"])
-
-
-def load_sheaf(path) -> Sheaf:
-    return sheaf_from_dict(json.loads(Path(path).read_text()), source=str(path))
 
 
 # ---------------------------------------------------------------- datasets

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -55,15 +56,23 @@ def _integer(name: str, value) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(name: str, value):
+    """``value`` unchanged (a manifest keeps 20, not 20.0); a bool or any
+    other non-number raises a TypeError naming the setting ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def _check_protocol(seed: int, snapshots: int, rho: float, snr_db: float) -> None:
     """Checks the inputs both protocols take (snr_db = +inf adds no noise)."""
     if _integer("seed", seed) < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if _integer("snapshots", snapshots) < 1:
         raise ValueError(f"snapshots must be positive, got {snapshots}")
-    if not (0.0 <= rho <= 1.0):
+    if not (0.0 <= _real("rho", rho) <= 1.0):
         raise ValueError("rho must lie in [0, 1]")
-    if not snr_db > -math.inf:
+    if not _real("snr_db", snr_db) > -math.inf:
         raise ValueError("snr_db must be a number above -inf")
 
 

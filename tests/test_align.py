@@ -140,6 +140,17 @@ class TestProcrustes:
             procrustes_align(D_u, S_u, D_v, S_v, u=3, v=8)
 
 
+class TestUnalignedDistance:
+    @pytest.mark.parametrize("S_u, S_v, match", [
+        (np.ones((3, 1)), np.zeros((3, 5)), "node 1: 5 snapshots, node 0 has 1"),
+        (np.ones((3, 5)), np.array([[0.0] * 5, [0.0, np.nan, 0.0, 0.0, 0.0], [0.0] * 5]),
+         "node 1: non-finite entries in its coefficients"),
+    ], ids=["1 against 5 snapshots", "nan coefficient"])
+    def test_bad_input_names_the_node(self, S_u, S_v, match):
+        with pytest.raises(ValueError, match=match):
+            unaligned_distance(np.eye(3), S_u, np.eye(3), S_v)
+
+
 class TestAlignedDistance:
     def test_identical_zero(self, rng):
         X = rng.standard_normal((3, 8))

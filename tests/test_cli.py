@@ -321,7 +321,8 @@ BAD_INPUTS = {
     "invalid json": (lambda t: write_text(t / "cfg.json", "{alpha: 1}"),
                      ["denoise", "--data", "d", "--config", "{}"], "{}: Expecting property name"),
     "wrong type": (lambda t: write_json(t / "cfg.json", {"alpha": "x"}),
-                   ["denoise", "--data", "d", "--config", "{}"], "{}: '<' not supported"),
+                   ["denoise", "--data", "d", "--config", "{}"],
+                   "{}: alpha must be a number, got 'x'\n"),
     "generate range": (lambda t: write_json(t / "cfg.json", {"node_count": 0}),
                        ["generate", "--config", "{}"], "{}: node_count and ambient_dim"),
     "cluster alpha": (lambda t: write_json(t / "cfg.json", {"alpha": -1}),
@@ -367,6 +368,29 @@ BAD_INPUTS = {
     "sweep e0 bool": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG, "e0_grid": [True]}),
                       ["sweep", "--config", "{}"],
                       "{}: e0_grid entry must be an integer, got True\n"),
+    "generate snr_db bool": (lambda t: write_json(t / "cfg.json", {**GEN_CFG, "snr_db": True}),
+                             ["generate", "--config", "{}"],
+                             "{}: snr_db must be a number, got True\n"),
+    "generate rho bool": (lambda t: write_json(t / "cfg.json", {**GEN_CFG, "rho": True}),
+                          ["generate", "--config", "{}"], "{}: rho must be a number, got True\n"),
+    "generate rho string": (lambda t: write_json(t / "cfg.json", {**GEN_CFG, "rho": "0.5"}),
+                            ["generate", "--config", "{}"],
+                            "{}: rho must be a number, got '0.5'\n"),
+    "denoise alpha bool": (lambda t: write_json(t / "cfg.json", {"alpha": True}),
+                           ["denoise", "--data", "d", "--config", "{}"],
+                           "{}: alpha must be a number, got True\n"),
+    "denoise rel_tol bool": (lambda t: write_json(t / "cfg.json", {"rel_tol": True}),
+                             ["denoise", "--data", "d", "--config", "{}"],
+                             "{}: rel_tol must be a number, got True\n"),
+    "denoise support_threshold bool": (lambda t: write_json(t / "cfg.json",
+                                                            {"support_threshold": False}),
+                                       ["denoise", "--data", "d", "--config", "{}"],
+                                       "{}: support_threshold must be a number, got False\n"),
+    "sweep alpha bool": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG, "alpha_grid": [True]}),
+                         ["sweep", "--config", "{}"], "{}: alpha must be a number, got True\n"),
+    "cluster snr_db bool": (lambda t: write_json(t / "cfg.json", {"snr_db": False}),
+                            ["cluster", "--config", "{}"],
+                            "{}: snr_db must be a number, got False\n"),
     "sweep repeated snr": (lambda t: write_json(t / "cfg.json", {**SWEEP_CFG,
                                                                  "snr_grid": [20.0, 20.0]}),
                            ["sweep", "--config", "{}"], "{}: snr_grid values must be distinct"),
@@ -384,6 +408,10 @@ BAD_INPUTS = {
     "sheaf with a fractional node": (lambda t: fractional_head(t),
                                      ["export", "--sheaf", "{}", "--formats", "graphml,csv"],
                                      "{}: edge 1 is (1, 1.7): node indices must be integers\n"),
+    "sheaf with a boolean node": (lambda t: write_json(t / "sheaf.json", {
+        "nodes": 3, "ambient_dim": 1, "per_node_dim": [1, 1, 1],
+        "edges": [{"tail": True, "head": 2, "F_tail": [1.0], "F_head": [1.0]}]}),
+        ["export", "--sheaf", "{}"], "{}: edge 0 is (True, 2): node indices must be integers\n"),
     "sheaf with a fractional node count": (lambda t: write_json(t / "sheaf.json", {
         "nodes": 2.5, "ambient_dim": 1, "per_node_dim": [1, 1], "edges": []}),
         ["export", "--sheaf", "{}"], "{}: node_count must be an integer, got 2.5\n"),

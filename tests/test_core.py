@@ -282,7 +282,7 @@ class TestArrayValidation:
         with pytest.raises(SheafStructureError, match=match):
             Sheaf(node_count, 2, per_node_dim, np.zeros((0, 2), int), np.zeros((0, 2, 2, 2)))
 
-    @pytest.mark.parametrize("edge", [(0, 1.5), (0.0, 1.0), (0, None), (0, "1")])
+    @pytest.mark.parametrize("edge", [(0, 1.5), (0.0, 1.0), (0, None), (0, "1"), (0, True)])
     def test_non_integer_node_index_rejected(self, edge):
         maps = self.arrays(3, 1)[1][:2]
         edges = [(1, 2), edge]
@@ -526,12 +526,22 @@ class TestTailRuns:
                  random_orthonormal(rng, 3)) for h in range(1, 8)]
         return make_sheaf(8, 3, [(0, h) for h in range(1, 8)], maps)
 
+    @staticmethod
+    def mixed_heads_at_learn_dimension(rng):
+        """d = 64, the learned sheaves' dimension: 10 nodes and 30 edges whose
+        heads mix I and random maps within each tail's run."""
+        edges = random_edges(rng, 10, 30)
+        maps = [(random_orthonormal(rng, 64), random_orthonormal(rng, 64) if i % 3 else np.eye(64))
+                for i in range(len(edges))]
+        return make_sheaf(10, 64, edges, maps)
+
     def cases(self, rng):
         learned = build_sheaf(select_topology(learned_candidates(), 20))
         return {
             "interleaved tails in cost order": self.interleaved_sheaf(rng),
             "tail above head": oriented_sheaf(rng, 10, 3, 30),
             "mixed identity and non-identity heads": self.mixed_head_run(rng),
+            "mixed heads at d = 64": self.mixed_heads_at_learn_dimension(rng),
             "learned": learned,
             "edgeless": make_sheaf(4, 3, [], []),
         }
@@ -749,6 +759,12 @@ class TestGlobalSectionDim:
     def test_tol_outside_unit_interval_rejected(self, tol):
         L = assemble_laplacian(constant_sheaf(3, [(0, 1), (1, 2), (0, 2)], dim=2))
         with pytest.raises(ValueError, match="tol"):
+            global_section_dim(L, tol=tol)
+
+    @pytest.mark.parametrize("tol", [True, "1e-8"])
+    def test_tol_that_is_not_a_number_rejected(self, tol):
+        L = assemble_laplacian(constant_sheaf(3, [(0, 1), (1, 2), (0, 2)], dim=2))
+        with pytest.raises(TypeError, match=f"^tol must be a number, got {re.escape(repr(tol))}$"):
             global_section_dim(L, tol=tol)
 
 

@@ -203,6 +203,12 @@ def test_thread_count_below_one_rejected_before_drawing(monkeypatch, threads):
         run_tv_sweep(SMALL, threads=threads)
 
 
+def test_boolean_thread_count_rejected_before_drawing(monkeypatch):
+    monkeypatch.setattr(experiments, "generate_dataset", no_draw)
+    with pytest.raises(TypeError, match="^threads must be an integer, got True$"):
+        run_tv_sweep(SMALL, threads=True)
+
+
 def test_cluster_alpha_checked_before_drawing(monkeypatch):
     monkeypatch.setattr(experiments, "generate_cluster_scenario", no_draw)
     with pytest.raises(ValueError, match="alpha must be nonnegative"):
