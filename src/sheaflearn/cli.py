@@ -25,6 +25,7 @@ from .experiments import (
     run_tv_sweep,
 )
 from .infer import (
+    MODES,
     build_sheaf,
     enumerate_candidates,
     min_edges_for_connectivity,
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", parents=[out], help="infer the sheaf topology")
     p.add_argument("--data", required=True, help="sparse-code directory")
-    p.add_argument("--mode", choices=("aligned", "baseline"), default="aligned")
+    p.add_argument("--mode", choices=MODES, default="aligned")
     p.add_argument("--e0", type=_edge_budget, default="auto",
                    help="edge budget, or 'auto' for connectivity minimum")
     p.set_defaults(func=cmd_infer)

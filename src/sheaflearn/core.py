@@ -80,6 +80,16 @@ def _edge_array(edges) -> np.ndarray:
     return raw.astype(np.intp, copy=False)
 
 
+def _orthonormal(stack: np.ndarray) -> np.ndarray:
+    """Whether each matrix A of the (n, a, k) ``stack`` has orthonormal
+    columns, max |A^T A - I| <= ORTHO_TOL, as an (n,) bool array. A NaN or
+    inf entry fails the test. The one orthonormality test: restriction maps
+    and orthonormal dictionaries both pass through it."""
+    gram = stack.swapaxes(-1, -2) @ stack
+    gram -= np.eye(stack.shape[-1])
+    return np.abs(gram, out=gram).reshape(len(stack), -1).max(axis=1) <= ORTHO_TOL
+
+
 def _map_stack(maps, edge_count: int, d: int) -> np.ndarray:
     """``maps`` as a C-contiguous (edge_count, 2, d, d) float array, without a
     copy when it is one already."""
@@ -154,17 +164,11 @@ class Sheaf:
                 raise SheafStructureError(f"node pair {key} appears more than once")
             seen.add(key)
 
-        # max |F^T F - I| <= ORTHO_TOL for every map, EDGE_CHUNK maps at a
-        # time (map 2e + side is maps[e, side]); a NaN or inf entry fails the
-        # comparison too.
+        # every map orthonormal, EDGE_CHUNK maps at a time (map 2e + side is
+        # maps[e, side])
         flat = maps.reshape(-1, d, d)
-        eye = np.eye(d)
         for start in range(0, len(flat), EDGE_CHUNK):
-            chunk = flat[start:start + EDGE_CHUNK]
-            gram = chunk.swapaxes(-1, -2) @ chunk
-            gram -= eye
-            err = np.abs(gram, out=gram).reshape(len(chunk), -1).max(axis=1)
-            bad = np.flatnonzero(~(err <= ORTHO_TOL))
+            bad = np.flatnonzero(~_orthonormal(flat[start:start + EDGE_CHUNK]))
             if bad.size:
                 e, side = divmod(int(start + bad[0]), 2)
                 what = ("has non-finite entries" if not np.all(np.isfinite(maps[e, side]))
@@ -213,9 +217,12 @@ def make_sheaf(
 
 
 def constant_sheaf(node_count: int, edges, dim: int = 1) -> Sheaf:
-    """All stalks R^dim, all maps the identity; reduces to the classic graph."""
-    eye = np.eye(dim)
-    return make_sheaf(node_count, dim, list(edges), [(eye, eye) for _ in edges])
+    """All stalks R^dim, all maps the identity; reduces to the classic graph.
+    ``edges`` is any iterable of (u, v) pairs, a generator or an (E, 2)
+    array included; it is read once."""
+    edges = list(edges)
+    return make_sheaf(node_count, dim, edges,
+                      np.broadcast_to(np.eye(dim), (len(edges), 2, dim, dim)))
 
 
 @dataclass(frozen=True)

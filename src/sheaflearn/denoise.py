@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ORTHO_TOL
+from .core import _orthonormal
 from .synth import _integer, _real
 
 
@@ -31,7 +31,9 @@ class SolverWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Known synthesis dictionary with d-dimensional atoms as columns."""
+    """Known synthesis dictionary with d-dimensional atoms as columns. With
+    ``orthonormal=True`` the atoms must pass core's orthonormality test,
+    max |D^T D - I| <= ORTHO_TOL, the one that restriction maps pass."""
 
     atoms: np.ndarray
     orthonormal: bool = False
@@ -43,10 +45,8 @@ class Dictionary:
         if a.shape[1] == 0:
             raise ValueError("dictionary has no atoms")
         object.__setattr__(self, "atoms", a)
-        if self.orthonormal:
-            gram = a.T @ a
-            if np.max(np.abs(gram - np.eye(a.shape[1]))) > ORTHO_TOL:
-                raise ValueError("dictionary flagged orthonormal but D^T D != I")
+        if self.orthonormal and not _orthonormal(a[None])[0]:
+            raise ValueError("dictionary flagged orthonormal but D^T D != I")
 
     @property
     def signal_dim(self) -> int:

@@ -32,7 +32,7 @@ class SweepSpec:
     alpha_grid: tuple[float, ...] = (0.1, 0.5, 1.0)
     snr_grid: tuple[float, ...] = (10.0, 20.0)
     e0_grid: tuple[int, ...] | None = None
-    modes: tuple[str, ...] = ("aligned", "baseline")
+    modes: tuple[str, ...] = MODES
     seed: int = 0
     node_count: int = 16
     ambient_dim: int = 64
@@ -188,7 +188,7 @@ def emit_plots(report: RunReport, out_dir) -> list[Path]:
     paths = []
     for alpha, snr in panels:
         series = []
-        for mode, style in (("aligned", "solid"), ("baseline", "dashed")):
+        for mode, style in zip(MODES, ("solid", "dashed")):
             pts = [(r.e0, r.total_variation) for r in rows
                    if r.mode == mode and r.alpha == alpha and r.snr_db == snr]
             if pts:

@@ -22,6 +22,7 @@ from .align import procrustes_align, unaligned_distance  # noqa: F401
 from .core import Sheaf, make_sheaf
 from .synth import _integer
 
+# the scoring modes, written only here: cli's --mode and SweepSpec.modes read them
 MODES = ("aligned", "baseline")
 
 
@@ -165,4 +166,5 @@ def build_sheaf(selection: EdgeSelection) -> Sheaf:
     maps[:, 1 if table.mode == "aligned" else 0:] = np.eye(d)
     if table.mode == "aligned":
         _solve_maps(reps, table.u[:selection.E0], table.v[:selection.E0], maps[:, 0])
-    return make_sheaf(len(reps), d, selection.selected, maps)
+    edges = np.stack((table.u[:selection.E0], table.v[:selection.E0]), axis=1)
+    return make_sheaf(len(reps), d, edges, maps)

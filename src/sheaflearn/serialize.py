@@ -1,5 +1,11 @@
 """File formats: CSV matrices, JSON sheaf/selection documents, the dataset
-container (manifest + per-node CSVs), and GraphML/DOT graph exports.
+and code directories (an index JSON + per-node CSVs), and GraphML/DOT graph
+exports.
+
+Both directories name each per-node CSV ``<stem>_<u:03d>_<name>.csv``
+(stem ``node`` or ``code``, u the node index, name the field written), one
+rule written once in ``_save_node_csvs``; the index records every file name,
+and the readers take the names from it.
 
 All writers are deterministic: fixed float formatting, sorted JSON keys, no
 timestamps. CSV rows are formatted with one ``%`` per row, and ``save_sheaf``
@@ -143,29 +149,32 @@ def load_sheaf(path) -> Sheaf:
 
 # ---------------------------------------------------------------- datasets
 
-def save_dataset(dataset: Dataset, out_dir) -> None:
+def _save_node_csvs(out_dir, stem: str, items, names, suffix: str = ""):
+    """Write field ``name`` of the u-th item as ``<stem>_<u:03d>_<name>.csv``
+    for each of ``names``, into ``out_dir`` (made if missing). Return the
+    directory and one index record per item, which maps ``name + suffix`` to
+    the file name."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "seed": dataset.seed,
-        "params": dataset.params,
-        "nodes": [],
-    }
-    for u, node in enumerate(dataset.nodes):
-        obs = f"node_{u:03d}_observations.csv"
-        dic = f"node_{u:03d}_dictionary.csv"
-        cof = f"node_{u:03d}_clean_coeffs.csv"
-        matrix_to_csv(node.observations, out / obs)
-        matrix_to_csv(node.dictionary, out / dic)
-        matrix_to_csv(node.clean_coeffs, out / cof)
-        manifest["nodes"].append({
-            "observations": obs,
-            "dictionary": dic,
-            "clean_coeffs": cof,
-            "support": list(node.support),
-            "cluster": node.cluster,
-        })
-    _dump_json(manifest, out / "manifest.json")
+    index = []
+    for u, item in enumerate(items):
+        record = {}
+        for name in names:
+            file = f"{stem}_{u:03d}_{name}.csv"
+            matrix_to_csv(getattr(item, name), out / file)
+            record[name + suffix] = file
+        index.append(record)
+    return out, index
+
+
+def save_dataset(dataset: Dataset, out_dir) -> None:
+    out, index = _save_node_csvs(out_dir, "node", dataset.nodes,
+                                 ("observations", "dictionary", "clean_coeffs"))
+    for record, node in zip(index, dataset.nodes):
+        record["support"] = list(node.support)
+        record["cluster"] = node.cluster
+    _dump_json({"seed": dataset.seed, "params": dataset.params, "nodes": index},
+               out / "manifest.json")
 
 
 def load_dataset(in_dir, clean_coeffs: bool = True) -> Dataset:
@@ -190,25 +199,13 @@ def load_dataset(in_dir, clean_coeffs: bool = True) -> Dataset:
 # ------------------------------------------------------------- sparse codes
 
 def save_sparse_codes(codes: list[SparseCode], out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    index = []
-    for u, code in enumerate(codes):
-        coeffs = f"code_{u:03d}_coefficients.csv"
-        basis = f"code_{u:03d}_local_basis.csv"
-        compact = f"code_{u:03d}_compact_coeffs.csv"
-        matrix_to_csv(code.coefficients, out / coeffs)
-        matrix_to_csv(code.local_basis, out / basis)
-        matrix_to_csv(code.compact_coeffs, out / compact)
-        index.append({
-            "support": list(code.support),
-            "coefficients_csv_path": coeffs,
-            "local_basis_csv_path": basis,
-            "compact_coeffs_csv_path": compact,
-            "objective": code.objective,
-            "converged": code.converged,
-            "iterations": code.iterations,
-        })
+    out, index = _save_node_csvs(out_dir, "code", codes,
+                                 ("coefficients", "local_basis", "compact_coeffs"), "_csv_path")
+    for record, code in zip(index, codes):
+        record["support"] = list(code.support)
+        record["objective"] = code.objective
+        record["converged"] = code.converged
+        record["iterations"] = code.iterations
     _dump_json({"codes": index}, out / "codes.json")
 
 

@@ -16,9 +16,12 @@ from sheaflearn import (
     DenoiseConfig,
     Dictionary,
     SweepSpec,
+    SynthConfig,
     assemble_laplacian,
     block_sparse_code,
+    code_dataset,
     constant_sheaf,
+    generate_dataset,
     procrustes_align,
     run_cluster_experiment,
     run_tv_sweep,
@@ -221,6 +224,37 @@ def test_criterion_8_denoiser_optimality():
                 + alpha * cvxpy.sum(cvxpy.norm(S, axis=1))))
             problem.solve(solver=cvxpy.CLARABEL)
             assert abs(code.objective - problem.value) <= 1e-6 * max(1.0, abs(problem.value))
+
+
+def relative_duality_gap(X, D, alpha, code):
+    """(primal - dual) / max(1, |primal|) for a code of
+    min_S ||X - D S||_F^2 + alpha * ||S||_{2,1}: the residual R = X - D S,
+    scaled so that every row of D^T Theta has norm at most alpha, is the
+    dual-feasible point Theta = t * 2R, valued <Theta, X> - ||Theta||_F^2 / 4."""
+    R = X - D.atoms @ code.coefficients
+    row_norm = np.max(np.linalg.norm(D.atoms.T @ (2.0 * R), axis=1))
+    t = 1.0 if row_norm <= alpha else alpha / row_norm
+    theta = t * 2.0 * R
+    dual = float(np.sum(theta * X) - np.sum(theta * theta) / 4.0)
+    return (code.objective - dual) / max(1.0, abs(code.objective))
+
+
+def test_criterion_8_denoiser_duality_gap():
+    # a certificate that needs no convex solver: weak duality bounds the
+    # distance to the optimum by the gap at a dual-feasible point
+    problems, _ = denoise_problems()
+    with criterion(8, "l2,1 objective within 1e-6 of optimal by a duality gap"):
+        for X, D, alpha, code in problems:
+            assert relative_duality_gap(X, D, alpha, code) <= 1e-6
+        # orthonormal dictionaries, as the pipeline codes them
+        cfg = DenoiseConfig(alpha=4.0)
+        for seed in (0, 1, 7):
+            dataset = generate_dataset(SynthConfig(node_count=16, ambient_dim=64,
+                                                   dims=("uniform", 8, 32), snapshots=512,
+                                                   seed=seed))
+            for node, code in zip(dataset.nodes, code_dataset(dataset, cfg)):
+                assert relative_duality_gap(node.observations, code.dictionary, cfg.alpha,
+                                            code) <= 1e-12
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -304,6 +304,18 @@ def short_basis(tmp_path):
     return codes
 
 
+def rowless_bases(tmp_path):
+    """A hand-written code directory of two nodes whose local basis CSVs
+    hold a header and no rows, so the ambient dimension is 0."""
+    codes = tmp_path / "codes"
+    codes.mkdir()
+    write_text(codes / "basis.csv", "0,1\n")
+    write_text(codes / "coeffs.csv", "0,1,2\n1,2,3\n4,5,6\n")
+    node = {"local_basis_csv_path": "basis.csv", "compact_coeffs_csv_path": "coeffs.csv"}
+    write_json(codes / "codes.json", {"codes": [node, node]})
+    return codes
+
+
 def fractional_head(tmp_path):
     """A sheaf.json whose edge 1 has head 1.7."""
     eye = [1.0, 0.0, 0.0, 1.0]
@@ -444,6 +456,9 @@ BAD_INPUTS = {
                                  "{}: node 1: dictionary has no atoms\n"),
     "basis lost a row": (lambda t: str(short_basis(t)),
                          ["infer", "--data", "{}"], "{}: node 1: ambient dimension 7, node 0 has 8"),
+    "basis without rows": (lambda t: str(rowless_bases(t)),
+                           ["infer", "--data", "{}"],
+                           "{}: node 0: basis has no rows, so the ambient dimension is 0\n"),
 }
 
 

@@ -7,6 +7,7 @@ import sheaflearn.core
 from sheaflearn import (
     Cochain0,
     DenoiseConfig,
+    Dictionary,
     Sheaf,
     SheafStructureError,
     SynthConfig,
@@ -147,6 +148,14 @@ class TestIncidence:
         with pytest.raises(SheafStructureError):
             make_sheaf(2, 3, [(0, 1)], [(np.eye(2), np.eye(2))])
 
+    def test_constant_sheaf_takes_any_iterable_of_pairs(self):
+        pairs = [(0, 1), (2, 1), (1, 3)]
+        sheaves = [constant_sheaf(4, edges, dim=2)
+                   for edges in ((pair for pair in pairs), pairs, np.array(pairs))]
+        for sh in sheaves:
+            assert sh.edges.tolist() == [[0, 1], [1, 2], [1, 3]]
+            assert np.array_equal(sh.maps, np.broadcast_to(np.eye(2), (3, 2, 2, 2)))
+
 
 class TestLaplacian:
     def test_constant_sheaf_equals_graph_laplacian(self, rng):
@@ -221,6 +230,21 @@ class TestStructureValidation:
         one_entry[1, 0] = bad
         with pytest.raises(SheafStructureError, match="non-finite"):
             make_sheaf(2, 2, [(0, 1)], [(np.eye(2), one_entry)])
+
+
+@pytest.mark.parametrize("scale, accepted", [(1 + 4e-11, True), (1 + 1e-9, False)])
+def test_maps_and_dictionaries_share_the_orthonormality_test(scale, accepted):
+    # max |A^T A - I| = scale^2 - 1: 8e-11 inside ORTHO_TOL = 1e-9, 2e-9 outside
+    A = scale * rotation(0.3)
+    outcomes = []
+    for build in (lambda: make_sheaf(2, 2, [(0, 1)], [(A, np.eye(2))]),
+                  lambda: Dictionary(A, orthonormal=True)):
+        try:
+            build()
+            outcomes.append(True)
+        except ValueError:
+            outcomes.append(False)
+    assert outcomes == [accepted, accepted]
 
 
 class TestArrayValidation:

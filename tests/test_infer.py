@@ -312,6 +312,23 @@ class TestBuildSheaf:
             tv_ba = sum(ba.cost[:e0].tolist())
             assert tv_al <= tv_ba + 1e-9
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_make_sheaf_gets_an_integer_edge_array(self, rng, monkeypatch, mode):
+        handed = []
+        make_sheaf = infer.make_sheaf
+
+        def spy(node_count, ambient_dim, edges, maps, **kwargs):
+            handed.append(edges)
+            return make_sheaf(node_count, ambient_dim, edges, maps, **kwargs)
+
+        monkeypatch.setattr(infer, "make_sheaf", spy)
+        selection = select_topology(enumerate_candidates(random_reps(rng, 5, 3), mode), 4)
+        sheaf = build_sheaf(selection)
+        (edges,) = handed
+        assert isinstance(edges, np.ndarray) and edges.dtype == np.intp
+        assert edges.tolist() == [list(pair) for pair in selection.selected]
+        assert np.array_equal(sheaf.edges, edges)
+
 
 class TestScoringMatchesProcrustes:
     """The batched Gram-block scores against one full SVD of the d x d cross
@@ -659,4 +676,11 @@ class TestInputValidation:
         reps = random_reps(rng, 4, 3)
         reps[2] = (np.eye(3), rng.standard_normal((3, 9)))
         with pytest.raises(ValueError, match="node 2"):
+            enumerate_candidates(reps, mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_basis_without_rows_names_the_node(self, rng, mode):
+        # a header-only basis CSV reads as 0 x k: no ambient dimension to map in
+        reps = [(np.zeros((0, 2)), rng.standard_normal((2, 8))) for _ in range(3)]
+        with pytest.raises(ValueError, match="node 0: basis has no rows"):
             enumerate_candidates(reps, mode=mode)

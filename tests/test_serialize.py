@@ -244,6 +244,43 @@ def test_codes_roundtrip(tmp_path):
         assert np.array_equal(code.compact_coeffs, compact)
 
 
+def test_per_node_csv_names(tmp_path):
+    ds = generate_dataset(SynthConfig(node_count=2, ambient_dim=6, dims=2,
+                                      snapshots=5, seed=4))
+    save_dataset(ds, tmp_path / "data")
+    save_sparse_codes(code_dataset(ds, DenoiseConfig(alpha=0.5)), tmp_path / "codes")
+
+    def listing(name):
+        return sorted(p.name for p in (tmp_path / name).iterdir())
+
+    assert listing("data") == [
+        "manifest.json",
+        "node_000_clean_coeffs.csv", "node_000_dictionary.csv", "node_000_observations.csv",
+        "node_001_clean_coeffs.csv", "node_001_dictionary.csv", "node_001_observations.csv",
+    ]
+    assert listing("codes") == [
+        "code_000_coefficients.csv", "code_000_compact_coeffs.csv", "code_000_local_basis.csv",
+        "code_001_coefficients.csv", "code_001_compact_coeffs.csv", "code_001_local_basis.csv",
+        "codes.json",
+    ]
+    nodes = json.loads((tmp_path / "data" / "manifest.json").read_text())["nodes"]
+    assert [sorted(rec) for rec in nodes] == [
+        ["clean_coeffs", "cluster", "dictionary", "observations", "support"]] * 2
+    assert [(rec["observations"], rec["dictionary"], rec["clean_coeffs"]) for rec in nodes] == [
+        ("node_000_observations.csv", "node_000_dictionary.csv", "node_000_clean_coeffs.csv"),
+        ("node_001_observations.csv", "node_001_dictionary.csv", "node_001_clean_coeffs.csv"),
+    ]
+    codes = json.loads((tmp_path / "codes" / "codes.json").read_text())["codes"]
+    assert [sorted(rec) for rec in codes] == [
+        ["coefficients_csv_path", "compact_coeffs_csv_path", "converged", "iterations",
+         "local_basis_csv_path", "objective", "support"]] * 2
+    assert [(rec["coefficients_csv_path"], rec["local_basis_csv_path"],
+             rec["compact_coeffs_csv_path"]) for rec in codes] == [
+        ("code_000_coefficients.csv", "code_000_local_basis.csv", "code_000_compact_coeffs.csv"),
+        ("code_001_coefficients.csv", "code_001_local_basis.csv", "code_001_compact_coeffs.csv"),
+    ]
+
+
 def test_selection_and_candidates(tmp_path, rng):
     reps = [(np.eye(2), rng.standard_normal((2, 4))) for _ in range(4)]
     cands = enumerate_candidates(reps, mode="aligned")
