@@ -72,8 +72,9 @@ def cross_covariance(S_u: np.ndarray, S_v: np.ndarray) -> np.ndarray:
 
 def _checked_reps(reps, nodes=None) -> tuple:
     """The (basis, coeffs) pairs as 2-D float arrays, each checked for finite
-    entries, for a basis with at least one row (the ambient dimension) and
-    for shapes that agree with the first pair's. An error names
+    entries, for a basis with at least one row (the ambient dimension), for
+    coefficients with at least one column (the snapshots) and for shapes
+    that agree with the first pair's. An error names
     the node by its label in ``nodes``, by default its position in ``reps``."""
     reps = tuple(reps)
     nodes = range(len(reps)) if nodes is None else nodes
@@ -86,6 +87,8 @@ def _checked_reps(reps, nodes=None) -> tuple:
                 raise ValueError(f"node {node}: non-finite entries in its {name}")
         if b.shape[0] == 0:
             raise ValueError(f"node {node}: basis has no rows, so the ambient dimension is 0")
+        if s.shape[1] == 0:
+            raise ValueError(f"node {node}: coefficients have no snapshots")
         if b.shape[1] != s.shape[0]:
             raise ValueError(f"node {node}: basis has {b.shape[1]} columns "
                              f"but coefficients have {s.shape[0]} rows")

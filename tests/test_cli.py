@@ -316,6 +316,18 @@ def rowless_bases(tmp_path):
     return codes
 
 
+def snapshotless_codes(tmp_path):
+    """A hand-written code directory of three nodes whose compact coefficient
+    CSVs are 1 x 0, an empty header over one empty line: no snapshots."""
+    codes = tmp_path / "codes"
+    codes.mkdir()
+    write_text(codes / "basis.csv", "0\n1\n0\n0\n")
+    write_text(codes / "coeffs.csv", "\n\n")
+    node = {"local_basis_csv_path": "basis.csv", "compact_coeffs_csv_path": "coeffs.csv"}
+    write_json(codes / "codes.json", {"codes": [node, node, node]})
+    return codes
+
+
 def fractional_head(tmp_path):
     """A sheaf.json whose edge 1 has head 1.7."""
     eye = [1.0, 0.0, 0.0, 1.0]
@@ -459,6 +471,9 @@ BAD_INPUTS = {
     "basis without rows": (lambda t: str(rowless_bases(t)),
                            ["infer", "--data", "{}"],
                            "{}: node 0: basis has no rows, so the ambient dimension is 0\n"),
+    "coefficients without snapshots": (lambda t: str(snapshotless_codes(t)),
+                                       ["infer", "--data", "{}"],
+                                       "{}: node 0: coefficients have no snapshots\n"),
 }
 
 

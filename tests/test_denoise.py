@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -91,6 +92,64 @@ def test_nonconvergence_warns_and_reports(rng):
     assert not code.converged
     assert code.iterations == 2
     assert np.isfinite(code.final_rel_change)
+
+
+class TestClosedForm:
+    """An orthonormal dictionary is coded by one group soft-threshold,
+    S* = rowshrink(D^T X, alpha/2), with no iteration; ISTA on the same
+    atoms, flagged general, is the reference."""
+
+    @staticmethod
+    def problem(rng, atoms):
+        d = 12
+        A = np.eye(d) if atoms == "identity" else random_orthonormal(rng, d)
+        X = A[:, :4] @ rng.standard_normal((4, 30)) + 0.1 * rng.standard_normal((d, 30))
+        return X, Dictionary(A, orthonormal=True)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 4.0, "kill every row"])
+    @pytest.mark.parametrize("atoms", ["identity", "qr"])
+    def test_equals_the_ista_reference(self, rng, atoms, alpha):
+        X, D = self.problem(rng, atoms)
+        kill = alpha == "kill every row"
+        if kill:  # just above twice the largest row norm of D^T X
+            alpha = 2.0 * np.linalg.norm(D.atoms.T @ X, axis=1).max() * (1 + 1e-12)
+        code = block_sparse_code(X, D, DenoiseConfig(alpha=alpha))
+        ref = block_sparse_code(X, Dictionary(D.atoms), DenoiseConfig(alpha=alpha, rel_tol=1e-14))
+        assert ref.converged and ref.iterations > 0
+        assert np.max(np.abs(code.coefficients - ref.coefficients)) <= 1e-12
+        assert abs(code.objective - ref.objective) <= 1e-12 * max(1.0, ref.objective)
+        assert code.support == ref.support
+        assert np.max(np.abs(code.local_basis @ code.compact_coeffs
+                             - ref.local_basis @ ref.compact_coeffs)) <= 1e-12
+        if kill:  # the empty-support sentinel
+            assert np.max(np.abs(code.coefficients)) == 0.0 and code.support == ()
+            assert code.local_basis.shape == (12, 0) and code.compact_coeffs.shape == (0, 30)
+
+    @pytest.mark.parametrize("atoms", ["identity", "qr"])
+    def test_one_objective_evaluation_and_no_iteration(self, rng, atoms, monkeypatch):
+        import sheaflearn.denoise as denoise
+
+        X, D = self.problem(rng, atoms)
+        calls = []
+        objective = denoise._objective
+        monkeypatch.setattr(denoise, "_objective", lambda *a: calls.append(a) or objective(*a))
+
+        def no_spectral_norm(*args, **kwargs):
+            raise AssertionError("took sigma_max(D) for an orthonormal dictionary")
+
+        monkeypatch.setattr(np.linalg, "norm", no_spectral_norm)
+        code = block_sparse_code(X, D, DenoiseConfig(alpha=0.5))
+        assert len(calls) == 1
+        assert (code.iterations, code.converged, code.final_rel_change) == (0, True, 0.0)
+        assert code.objective_trace == [code.objective]
+        assert code.objective == coding_objective(X, D, code.coefficients, 0.5)
+
+    def test_no_solver_warning_at_one_iteration(self, rng):
+        X, D = self.problem(rng, "qr")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = block_sparse_code(X, D, DenoiseConfig(alpha=0.5, max_iters=1))
+        assert code.converged and code.iterations == 0
 
 
 class TestLocalBasis:

@@ -684,3 +684,10 @@ class TestInputValidation:
         reps = [(np.zeros((0, 2)), rng.standard_normal((2, 8))) for _ in range(3)]
         with pytest.raises(ValueError, match="node 0: basis has no rows"):
             enumerate_candidates(reps, mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_coefficients_without_snapshots_name_the_node(self, mode):
+        # an empty header over one empty line reads as a 1 x 0 coefficient CSV
+        reps = [(np.eye(3)[:, :1], np.zeros((1, 0))) for _ in range(3)]
+        with pytest.raises(ValueError, match="^node 0: coefficients have no snapshots$"):
+            enumerate_candidates(reps, mode=mode)
