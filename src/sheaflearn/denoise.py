@@ -10,7 +10,9 @@ codes) the objective is ||D^T X - S||_F^2 + alpha * ||S||_{2,1} plus a
 constant, which separates by rows, so the minimizer is one row-wise group
 soft-threshold, S* = rowshrink(D^T X, alpha/2) (Yuan & Lin 2006): closed
 form, no iteration. A general dictionary is solved by proximal gradient
-(ISTA) with step 1/sigma_max(D)^2 and the same threshold at alpha*step/2.
+(ISTA) with step 1/sigma_max(D)^2 and the same threshold at alpha*step/2;
+its iteration cap and stopping tolerance are keywords of
+``block_sparse_code``, the one place that reads them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ class EmptySupportError(ValueError):
 
 
 class SolverWarning(UserWarning):
-    """Proximal gradient hit max_iters before reaching rel_tol."""
+    """ISTA on a general dictionary ran ``max_iters`` iterations without the
+    relative objective change falling below ``rel_tol``."""
 
 
 @dataclass(frozen=True)
@@ -63,23 +66,16 @@ class Dictionary:
 
 @dataclass(frozen=True)
 class DenoiseConfig:
-    """The l2,1 weight ``alpha``, the relative support cut, and ISTA's
-    iteration cap and stopping tolerance. ``max_iters`` and ``rel_tol``
-    apply to general dictionaries only: an orthonormal one is coded in
-    closed form."""
+    """The l2,1 weight ``alpha`` and the relative support cut, the two
+    settings that every dictionary is coded with. ISTA's iteration cap and
+    stopping tolerance are keywords of ``block_sparse_code``."""
 
     alpha: float = 0.5
-    max_iters: int = 5000
-    rel_tol: float = 1e-8
     support_threshold: float = 1e-6  # relative to the largest row norm
 
     def __post_init__(self):
         if _real("alpha", self.alpha) < 0 or not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
-        if not 0 < _real("rel_tol", self.rel_tol) < math.inf:
-            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if _integer("max_iters", self.max_iters) < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         if not 0 <= _real("support_threshold", self.support_threshold) < 1:
             raise ValueError(f"support_threshold must lie in [0, 1), got {self.support_threshold}")
 
@@ -111,9 +107,14 @@ class SparseCode:
         return len(self.support)
 
 
+def _row_norms(S: np.ndarray) -> np.ndarray:
+    """The l2 norm of each row."""
+    return np.sqrt(np.sum(S * S, axis=1))
+
+
 def l21_norm(S: np.ndarray) -> float:
     """Sum of the l2 norms of the rows."""
-    return float(np.sum(np.sqrt(np.sum(S * S, axis=1))))
+    return float(np.sum(_row_norms(S)))
 
 
 def coding_objective(X: np.ndarray, D: Dictionary, S: np.ndarray, alpha: float) -> float:
@@ -128,7 +129,7 @@ def _objective(X: np.ndarray, D: Dictionary, S: np.ndarray, alpha: float):
 
 def _row_shrink(S: np.ndarray, kappa: float) -> np.ndarray:
     """Group soft-threshold of the rows: scale each row by max(0, 1 - kappa/||row||)."""
-    norms = np.sqrt(np.sum(S * S, axis=1))
+    norms = _row_norms(S)
     scale = np.zeros_like(norms)
     nz = norms > 0
     scale[nz] = np.maximum(0.0, 1.0 - kappa / norms[nz])
@@ -142,7 +143,7 @@ def stationarity_residual(X: np.ndarray, D: Dictionary, S: np.ndarray, alpha: fl
     Nonzero rows: norm of 2 D^T(DS - X) + alpha * row/||row||.
     """
     G = 2.0 * D.atoms.T @ (D.atoms @ S - X)
-    norms = np.sqrt(np.sum(S * S, axis=1))
+    norms = _row_norms(S)
     worst = 0.0
     for k in range(S.shape[0]):
         if norms[k] > 0:
@@ -165,7 +166,8 @@ def _checked_observations(X, D: Dictionary) -> np.ndarray:
     return X
 
 
-def block_sparse_code(X: np.ndarray, D: Dictionary, cfg: DenoiseConfig) -> SparseCode:
+def block_sparse_code(X: np.ndarray, D: Dictionary, cfg: DenoiseConfig, *,
+                      max_iters: int = 5000, rel_tol: float = 1e-8) -> SparseCode:
     """Solve the row-sparse coding problem for one node's observations.
 
     An orthonormal ``D`` (``D.orthonormal``) gets the closed form
@@ -174,45 +176,24 @@ def block_sparse_code(X: np.ndarray, D: Dictionary, cfg: DenoiseConfig) -> Spars
     within the flag's tolerance (max |D^T D - I| <= ORTHO_TOL) S* moves off
     the optimum by about that defect times the coefficients' scale, which
     leaves a relative duality gap near 5e-8 at 0.9 * ORTHO_TOL.
-    A general ``D`` runs ISTA from S = 0 until the relative objective change
-    drops below ``cfg.rel_tol`` or ``cfg.max_iters`` is reached (the latter
-    emits SolverWarning; the last iterate is still returned with its final
-    relative change). Non-finite observations raise ``ValueError`` before
-    the objective is first evaluated.
+    A general ``D`` runs ISTA (``_ista``) from S = 0 until the relative
+    objective change drops below ``rel_tol`` or ``max_iters`` is reached (the
+    latter emits SolverWarning; the last iterate is still returned with its
+    final relative change). Only a general ``D`` reads the two keywords, but
+    bad values are rejected for either kind. Non-finite observations raise
+    ``ValueError`` before the objective is first evaluated.
     """
+    if not 0 < _real("rel_tol", rel_tol) < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    if _integer("max_iters", max_iters) < 1:
+        raise ValueError(f"max_iters must be positive, got {max_iters}")
     X = _checked_observations(X, D)
     if D.orthonormal:
         # D^T D = I separates the objective by rows: S* is one group soft-threshold
-        S, iters = _row_shrink(D.atoms.T @ X, cfg.alpha / 2.0), 0
+        S = _row_shrink(D.atoms.T @ X, cfg.alpha / 2.0)
+        trace, iterations, rel_change = [coding_objective(X, D, S, cfg.alpha)], 0, 0.0
     else:
-        smax = np.linalg.norm(D.atoms, 2)
-        if smax == 0.0:
-            raise ValueError("dictionary is identically zero")
-        step = 1.0 / smax ** 2
-        kappa = cfg.alpha * step / 2.0
-        S, iters = np.zeros((D.atom_count, X.shape[1])), cfg.max_iters
-
-    f_prev, resid = _objective(X, D, S, cfg.alpha)
-    trace = [f_prev]
-    converged = iters == 0  # the closed form leaves nothing to iterate
-    rel_change = 0.0 if converged else np.inf
-    it = 0
-    for it in range(1, iters + 1):
-        # S - step * D^T (D S - X), from the residual the objective just formed
-        S = _row_shrink(S + step * (D.atoms.T @ resid), kappa)
-        f, resid = _objective(X, D, S, cfg.alpha)
-        trace.append(f)
-        rel_change = abs(f_prev - f) / max(1.0, abs(f_prev))
-        f_prev = f
-        if rel_change < cfg.rel_tol:
-            converged = True
-            break
-    if not converged:
-        warnings.warn(
-            f"block_sparse_code: no convergence in {cfg.max_iters} iterations "
-            f"(final relative change {rel_change:.3e})",
-            SolverWarning,
-        )
+        S, trace, iterations, rel_change = _ista(X, D, cfg.alpha, max_iters, rel_tol)
 
     try:
         support, basis, compact = extract_support(S, D, cfg.support_threshold)
@@ -227,17 +208,45 @@ def block_sparse_code(X: np.ndarray, D: Dictionary, cfg: DenoiseConfig) -> Spars
         support=support,
         local_basis=basis,
         compact_coeffs=compact,
-        objective=f_prev,
-        converged=converged,
-        iterations=it,
+        objective=trace[-1],
+        converged=bool(rel_change < rel_tol),
+        iterations=iterations,
         final_rel_change=float(rel_change),
         objective_trace=trace,
     )
 
 
+def _ista(X: np.ndarray, D: Dictionary, alpha: float, max_iters: int, rel_tol: float):
+    """Proximal gradient from S = 0 with step 1/sigma_max(D)^2: the last
+    iterate, the objective at every iterate, the iteration count and the last
+    relative objective change. Stopping at ``max_iters`` emits SolverWarning."""
+    smax = np.linalg.norm(D.atoms, 2)
+    if smax == 0.0:
+        raise ValueError("dictionary is identically zero")
+    step = 1.0 / smax ** 2
+    kappa = alpha * step / 2.0
+    S = np.zeros((D.atom_count, X.shape[1]))
+    f, resid = _objective(X, D, S, alpha)
+    trace = [f]
+    for it in range(1, max_iters + 1):
+        # S - step * D^T (D S - X), from the residual the objective just formed
+        S = _row_shrink(S + step * (D.atoms.T @ resid), kappa)
+        f, resid = _objective(X, D, S, alpha)
+        rel_change = abs(trace[-1] - f) / max(1.0, abs(trace[-1]))
+        trace.append(f)
+        if rel_change < rel_tol:
+            return S, trace, it, rel_change
+    warnings.warn(
+        f"block_sparse_code: no convergence in {max_iters} iterations "
+        f"(final relative change {rel_change:.3e})",
+        SolverWarning,
+    )
+    return S, trace, max_iters, rel_change
+
+
 def extract_support(S: np.ndarray, D: Dictionary, threshold: float):
     """Rows whose l2 norm exceeds threshold * max_row_norm, plus the compact form."""
-    norms = np.sqrt(np.sum(S * S, axis=1))
+    norms = _row_norms(S)
     max_norm = float(norms.max()) if norms.size else 0.0
     if max_norm == 0.0:
         raise EmptySupportError("all coefficient rows are zero")

@@ -136,7 +136,9 @@ def _resolve_dims(cfg: SynthConfig, rng: np.random.Generator | None = None) -> l
 def _add_noise(clean: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """White Gaussian noise rescaled so the realized Frobenius SNR is exact."""
     raw = rng.standard_normal(clean.shape)
-    clean_norm, raw_norm = np.linalg.norm(clean), np.linalg.norm(raw)
+    # numpy's own sum, not np.linalg.norm: BLAS ddot splits across threads,
+    # which would make the observations depend on the BLAS thread count
+    clean_norm, raw_norm = np.sqrt(np.sum(clean * clean)), np.sqrt(np.sum(raw * raw))
     if clean_norm == 0.0 or raw_norm == 0.0:
         return clean.copy()
     scale = clean_norm / (raw_norm * 10.0 ** (snr_db / 20.0))

@@ -193,7 +193,7 @@ def denoise_problems():
         D = Dictionary(rng.standard_normal((d, k)))
         X = rng.standard_normal((d, n))
         code = block_sparse_code(
-            X, D, DenoiseConfig(alpha=alpha, rel_tol=1e-14, max_iters=200_000))
+            X, D, DenoiseConfig(alpha=alpha), rel_tol=1e-14, max_iters=200_000)
         problems.append((X, D, alpha, code))
     return problems, rng
 

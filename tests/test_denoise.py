@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -55,7 +55,7 @@ def test_solution_is_a_local_minimum(rng):
     D = Dictionary(rng.standard_normal((4, 5)))
     X = rng.standard_normal((4, 6))
     alpha = 0.5
-    code = block_sparse_code(X, D, DenoiseConfig(alpha=alpha, rel_tol=1e-13, max_iters=50000))
+    code = block_sparse_code(X, D, DenoiseConfig(alpha=alpha), rel_tol=1e-13, max_iters=50000)
     f_star = code.objective
     for _ in range(50):
         delta = rng.standard_normal(code.coefficients.shape)
@@ -67,8 +67,8 @@ def test_solution_is_a_local_minimum(rng):
 def test_stationarity_residual_small(rng):
     D = Dictionary(rng.standard_normal((6, 9)))
     X = rng.standard_normal((6, 8))
-    cfg = DenoiseConfig(alpha=1.1, rel_tol=1e-13, max_iters=50000)
-    code = block_sparse_code(X, D, cfg)
+    cfg = DenoiseConfig(alpha=1.1)
+    code = block_sparse_code(X, D, cfg, rel_tol=1e-13, max_iters=50000)
     assert stationarity_residual(X, D, code.coefficients, cfg.alpha) <= 1e-4
 
 
@@ -88,7 +88,7 @@ def test_nonconvergence_warns_and_reports(rng):
     D = Dictionary(np.hstack([np.eye(3), np.eye(3) + 1e-3 * rng.standard_normal((3, 3))]))
     X = rng.standard_normal((3, 4))
     with pytest.warns(SolverWarning):
-        code = block_sparse_code(X, D, DenoiseConfig(alpha=0.1, max_iters=2, rel_tol=1e-15))
+        code = block_sparse_code(X, D, DenoiseConfig(alpha=0.1), max_iters=2, rel_tol=1e-15)
     assert not code.converged
     assert code.iterations == 2
     assert np.isfinite(code.final_rel_change)
@@ -114,7 +114,7 @@ class TestClosedForm:
         if kill:  # just above twice the largest row norm of D^T X
             alpha = 2.0 * np.linalg.norm(D.atoms.T @ X, axis=1).max() * (1 + 1e-12)
         code = block_sparse_code(X, D, DenoiseConfig(alpha=alpha))
-        ref = block_sparse_code(X, Dictionary(D.atoms), DenoiseConfig(alpha=alpha, rel_tol=1e-14))
+        ref = block_sparse_code(X, Dictionary(D.atoms), DenoiseConfig(alpha=alpha), rel_tol=1e-14)
         assert ref.converged and ref.iterations > 0
         assert np.max(np.abs(code.coefficients - ref.coefficients)) <= 1e-12
         assert abs(code.objective - ref.objective) <= 1e-12 * max(1.0, ref.objective)
@@ -148,8 +148,22 @@ class TestClosedForm:
         X, D = self.problem(rng, "qr")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = block_sparse_code(X, D, DenoiseConfig(alpha=0.5, max_iters=1))
+            code = block_sparse_code(X, D, DenoiseConfig(alpha=0.5), max_iters=1)
         assert code.converged and code.iterations == 0
+
+    def test_ista_settings_leave_the_code_unchanged(self, rng):
+        # only a general dictionary reads max_iters and rel_tol
+        X, D = self.problem(rng, "qr")
+        code = block_sparse_code(X, D, DenoiseConfig(alpha=0.5))
+        capped = block_sparse_code(X, D, DenoiseConfig(alpha=0.5), max_iters=1, rel_tol=0.5)
+        for a, b in ((code.coefficients, capped.coefficients),
+                     (code.local_basis, capped.local_basis),
+                     (code.compact_coeffs, capped.compact_coeffs)):
+            assert a.tobytes() == b.tobytes()
+        assert (code.support, code.objective_trace, code.iterations, code.converged,
+                code.final_rel_change) == (capped.support, capped.objective_trace,
+                                           capped.iterations, capped.converged,
+                                           capped.final_rel_change)
 
 
 class TestLocalBasis:
@@ -272,11 +286,17 @@ def test_code_dataset_checks_every_node_before_coding_any(monkeypatch):
         code_dataset(ds, DenoiseConfig())
 
 
+def ista_settings(orthonormal, **settings):
+    """``block_sparse_code`` on a small problem, with ISTA's settings as keywords."""
+    return block_sparse_code(np.ones((3, 4)), Dictionary(np.eye(3), orthonormal=orthonormal),
+                             DenoiseConfig(), **settings)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         DenoiseConfig(alpha=-1.0)
     with pytest.raises(ValueError):
-        DenoiseConfig(rel_tol=0.0)
+        ista_settings(False, rel_tol=0.0)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -285,10 +305,27 @@ def test_config_validation():
     ("support_threshold", 1.0), ("max_iters", 0),
 ])
 def test_config_validation_rejects_what_ista_cannot_run(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must"):
-        DenoiseConfig(**{field: value})
+    # ISTA's settings are checked for either kind of dictionary
+    for orthonormal in (False, True):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            if field in ("max_iters", "rel_tol"):
+                ista_settings(orthonormal, **{field: value})
+            else:
+                DenoiseConfig(**{field: value})
 
 
 def test_config_validation_wants_an_integer_iteration_count():
-    with pytest.raises(TypeError, match=r"^max_iters must be an integer, got 2\.5$"):
-        DenoiseConfig(max_iters=2.5)
+    for orthonormal in (False, True):
+        with pytest.raises(TypeError, match=r"^max_iters must be an integer, got 2\.5$"):
+            ista_settings(orthonormal, max_iters=2.5)
+
+
+@pytest.mark.parametrize("setting, message", [("max_iters", "max_iters must be an integer"),
+                                              ("rel_tol", "rel_tol must be a number")])
+def test_ista_settings_reject_booleans(setting, message):
+    with pytest.raises(TypeError, match=f"^{message}, got True$"):
+        ista_settings(False, **{setting: True})
+
+
+def test_config_holds_the_settings_every_dictionary_reads():
+    assert [f.name for f in fields(DenoiseConfig)] == ["alpha", "support_threshold"]
