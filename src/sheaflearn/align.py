@@ -196,7 +196,7 @@ def _procrustes(M, Q_u, Q_v, norms):
 def procrustes_align(D_u, S_u, D_v, S_v, u: int = 0,
                      v: int = 1) -> tuple[np.ndarray, EdgeCandidate]:
     """Solve the local edge problem of one pair; return ``(F, candidate)``.
-    A = X_u X_v^T = 0 is a valid degenerate case: the identity, flagged.
+    A = X_u X_v^T = 0 is a valid degenerate case: the identity, with ``degenerate`` set.
     The candidate's singular values are padded with zeros to d. Non-finite
     entries and shapes that disagree raise ``ValueError`` naming u or v."""
     reps = _checked_reps(((D_u, S_u), (D_v, S_v)), (u, v))

@@ -5,11 +5,12 @@ Each node is denoised independently by solving
     min_S  ||X - D S||_F^2 + alpha * ||S||_{2,1}
 
 where ||S||_{2,1} sums the l2 norms of the ROWS of S, killing entire atoms.
-With an orthonormal dictionary (D^T D = I, every dictionary the pipeline
-codes) the objective is ||D^T X - S||_F^2 + alpha * ||S||_{2,1} plus a
-constant, which separates by rows, so the minimizer is one row-wise group
-soft-threshold, S* = rowshrink(D^T X, alpha/2) (Yuan & Lin 2006): closed
-form, no iteration. A general dictionary is solved by proximal gradient
+With an orthonormal dictionary (D^T D = I, read off the atoms; every
+dictionary the pipeline codes) the objective is
+||D^T X - S||_F^2 + alpha * ||S||_{2,1} plus a constant, which separates by
+rows, so the minimizer is one row-wise group soft-threshold,
+S* = rowshrink(D^T X, alpha/2) (Yuan & Lin 2006): closed form, no
+iteration. Any other dictionary is solved by proximal gradient
 (ISTA) with step 1/sigma_max(D)^2 and the same threshold at alpha*step/2;
 its iteration cap and stopping tolerance are keywords of
 ``block_sparse_code``, the one place that reads them.
@@ -28,7 +29,8 @@ from .synth import _integer, _real
 
 
 class EmptySupportError(ValueError):
-    """Every coefficient row was thresholded away; lower alpha or threshold."""
+    """A support threshold of 1 or more cut a nonzero code to nothing; an
+    all-zero code is not an error, it has the empty support."""
 
 
 class SolverWarning(UserWarning):
@@ -38,12 +40,14 @@ class SolverWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Known synthesis dictionary with d-dimensional atoms as columns. With
-    ``orthonormal=True`` the atoms must pass core's orthonormality test,
-    max |D^T D - I| <= ORTHO_TOL, the one that restriction maps pass."""
+    """Known synthesis dictionary with d-dimensional atoms as columns.
+    ``orthonormal`` is read off the atoms, not set by the caller: it is true
+    when they pass core's orthonormality test, max |D^T D - I| <= ORTHO_TOL,
+    the one that restriction maps pass, and it picks the closed form in
+    ``block_sparse_code``."""
 
     atoms: np.ndarray
-    orthonormal: bool = False
+    orthonormal: bool = field(init=False)
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.atoms, dtype=float))
@@ -52,8 +56,7 @@ class Dictionary:
         if a.shape[1] == 0:
             raise ValueError("dictionary has no atoms")
         object.__setattr__(self, "atoms", a)
-        if self.orthonormal and not _orthonormal(a[None])[0]:
-            raise ValueError("dictionary flagged orthonormal but D^T D != I")
+        object.__setattr__(self, "orthonormal", bool(_orthonormal(a[None])[0]))
 
     @property
     def signal_dim(self) -> int:
@@ -85,10 +88,12 @@ class SparseCode:
     """Result of coding one node: full coefficients plus the compact form.
 
     ``local_basis @ compact_coeffs`` reproduces ``dictionary.atoms @ coefficients``
-    with the below-threshold rows zeroed. ``objective_trace`` holds the
-    objective at each iterate, ``objective`` the last. A closed-form code
-    (orthonormal dictionary) has ``iterations`` 0, ``converged`` True,
-    ``final_rel_change`` 0.0 and the objective at S* as its one trace entry.
+    with the below-threshold rows zeroed; a code that alpha zeroed whole has
+    support ``()``, a (d, 0) basis and a (0, N) compact form.
+    ``objective_trace`` holds the objective at each iterate, ``objective`` the
+    last. A closed-form code (``dictionary.orthonormal``) has ``iterations``
+    0, ``converged`` True, ``final_rel_change`` 0.0 and the objective at S*
+    as its one trace entry.
     """
 
     coefficients: np.ndarray          # K x N
@@ -170,16 +175,17 @@ def block_sparse_code(X: np.ndarray, D: Dictionary, cfg: DenoiseConfig, *,
                       max_iters: int = 5000, rel_tol: float = 1e-8) -> SparseCode:
     """Solve the row-sparse coding problem for one node's observations.
 
-    An orthonormal ``D`` (``D.orthonormal``) gets the closed form
-    S* = rowshrink(D^T X, alpha/2): the objective is evaluated once, at S*,
-    and the code reports 0 iterations, converged. It is exact for D^T D = I;
-    within the flag's tolerance (max |D^T D - I| <= ORTHO_TOL) S* moves off
-    the optimum by about that defect times the coefficients' scale, which
-    leaves a relative duality gap near 5e-8 at 0.9 * ORTHO_TOL.
-    A general ``D`` runs ISTA (``_ista``) from S = 0 until the relative
+    A ``D`` whose atoms pass the orthonormality test (``D.orthonormal``)
+    gets the closed form S* = rowshrink(D^T X, alpha/2): the objective is
+    evaluated once, at S*, and the code reports 0 iterations, converged. It
+    is exact for D^T D = I; within the test's tolerance
+    (max |D^T D - I| <= ORTHO_TOL) S* moves off the optimum by about that
+    defect times the coefficients' scale, which leaves a relative duality gap
+    near 5e-8 at 0.9 * ORTHO_TOL.
+    Any other ``D`` runs ISTA (``_ista``) from S = 0 until the relative
     objective change drops below ``rel_tol`` or ``max_iters`` is reached (the
     latter emits SolverWarning; the last iterate is still returned with its
-    final relative change). Only a general ``D`` reads the two keywords, but
+    final relative change). Only such a ``D`` reads the two keywords, but
     bad values are rejected for either kind. Non-finite observations raise
     ``ValueError`` before the objective is first evaluated.
     """
@@ -195,13 +201,7 @@ def block_sparse_code(X: np.ndarray, D: Dictionary, cfg: DenoiseConfig, *,
     else:
         S, trace, iterations, rel_change = _ista(X, D, cfg.alpha, max_iters, rel_tol)
 
-    try:
-        support, basis, compact = extract_support(S, D, cfg.support_threshold)
-    except EmptySupportError:
-        # alpha killed every row; S = 0 is still the valid minimizer
-        support = ()
-        basis = np.zeros((D.signal_dim, 0))
-        compact = np.zeros((0, X.shape[1]))
+    support, basis, compact = extract_support(S, D, cfg.support_threshold)
     return SparseCode(
         coefficients=S,
         dictionary=D,
@@ -245,13 +245,12 @@ def _ista(X: np.ndarray, D: Dictionary, alpha: float, max_iters: int, rel_tol: f
 
 
 def extract_support(S: np.ndarray, D: Dictionary, threshold: float):
-    """Rows whose l2 norm exceeds threshold * max_row_norm, plus the compact form."""
+    """Rows whose l2 norm exceeds threshold * max_row_norm, plus the compact form.
+    An all-zero ``S`` (alpha killed every row; S = 0 is still the minimizer)
+    has the empty support: ``()``, a (d, 0) basis and a (0, N) compact form."""
     norms = _row_norms(S)
-    max_norm = float(norms.max()) if norms.size else 0.0
-    if max_norm == 0.0:
-        raise EmptySupportError("all coefficient rows are zero")
-    keep = np.flatnonzero(norms > threshold * max_norm)
-    if keep.size == 0:
+    keep = np.flatnonzero(norms > threshold * norms.max(initial=0.0))
+    if keep.size == 0 and norms.any():
         raise EmptySupportError("every coefficient row fell below the support threshold")
     return tuple(int(k) for k in keep), D.atoms[:, keep], S[keep, :]
 
@@ -264,12 +263,15 @@ def extract_local_basis(code: SparseCode, threshold: float):
 
 def _checked_nodes(dataset) -> list[tuple[np.ndarray, Dictionary]]:
     """Each node's (observations, orthonormal dictionary), every node checked
-    before any is coded. Bad input at a node raises ``ValueError`` naming the
-    node."""
+    before any is coded. Bad input at a node (a non-finite entry, a shape
+    mismatch, a dictionary that fails the orthonormality test) raises
+    ``ValueError`` naming the node."""
     nodes = []
     for u, node in enumerate(dataset.nodes):
         try:
-            D = Dictionary(node.dictionary, orthonormal=True)
+            D = Dictionary(node.dictionary)
+            if not D.orthonormal:
+                raise ValueError("dictionary is not orthonormal: D^T D != I")
             nodes.append((_checked_observations(node.observations, D), D))
         except ValueError as exc:
             raise ValueError(f"node {u}: {exc}") from None

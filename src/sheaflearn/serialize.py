@@ -241,11 +241,11 @@ def candidates_to_csv(candidates: Candidates, path) -> None:
     the table's cost order."""
     width = candidates.sigma.shape[1]
     header = ",".join(["u", "v", "cost", "rank"] + [f"sigma_{i + 1}" for i in range(width)])
-    row = ",".join(["%s", "%s", FLOAT_FMT, "%s"] + [FLOAT_FMT] * width) + "\n"
-    lines = [row % (u, v, c, r, *sigma) for u, v, c, r, sigma in zip(
-        candidates.u.tolist(), candidates.v.tolist(), candidates.cost.tolist(),
-        candidates.rank.tolist(), candidates.sigma.tolist())]
-    Path(path).write_text(header + "\n" + "".join(lines))
+    # the integer columns print as ints: they are far below 2^53, where "%.17g"
+    # writes an integral float as "%s" writes the int
+    table = np.column_stack([candidates.u, candidates.v, candidates.cost,
+                             candidates.rank, candidates.sigma])
+    Path(path).write_text(header + "\n" + _csv_rows(table))
 
 
 # ------------------------------------------------------------------- graphs

@@ -209,8 +209,7 @@ def test_criterion_8_denoiser_descent_and_least_squares():
         # alpha = 0 with a complete orthonormal dictionary is exact least squares
         Q = random_orthonormal(rng, 6)
         X = rng.standard_normal((6, 9))
-        code = block_sparse_code(X, Dictionary(Q, orthonormal=True),
-                                 DenoiseConfig(alpha=0.0))
+        code = block_sparse_code(X, Dictionary(Q), DenoiseConfig(alpha=0.0))
         assert np.max(np.abs(code.coefficients - Q.T @ X)) <= 1e-9
 
 
@@ -264,12 +263,12 @@ def test_criterion_8_denoiser_duality_gap():
 
 def test_criterion_8_closed_form_at_the_orthonormality_tolerance():
     """The closed form S* = rowshrink(D^T X, alpha/2) is the minimizer only
-    when D^T D = I. A dictionary flagged orthonormal may miss that by up to
-    ORTHO_TOL, and there S* is off the optimum: at max |D^T D - I| =
-    0.9 * ORTHO_TOL its relative duality gap reads 3e-9 to 6e-8 (alpha 4 and
-    0.5, seeds 0, 1 and 7), where ISTA on the same atoms, run as a general
-    dictionary, reads 4e-15 or less. Criterion 8's bound for general
-    dictionaries, 1e-6, still holds."""
+    when D^T D = I. A dictionary that passes the orthonormality test may miss
+    that by up to ORTHO_TOL, and there S* is off the optimum: at
+    max |D^T D - I| = 0.9 * ORTHO_TOL its relative duality gap reads 3e-9 to
+    6e-8 (alpha 4 and 0.5, seeds 0, 1 and 7), where ISTA on the same atoms
+    reads 4e-15 or less. Criterion 8's bound for general dictionaries, 1e-6,
+    still holds."""
     with criterion(8, "closed form within 1e-6 of optimal at the orthonormality tolerance"):
         for seed in (0, 1, 7):
             rng = np.random.default_rng(seed)
@@ -279,7 +278,7 @@ def test_criterion_8_closed_form_at_the_orthonormality_tolerance():
             # G^T G, about 1e-19 here
             G = rng.standard_normal((64, 64))
             G *= 0.9 * ORTHO_TOL / np.abs(G + G.T).max()
-            D = Dictionary(node.dictionary + G, orthonormal=True)
+            D = Dictionary(node.dictionary + G)
             assert np.abs(D.atoms.T @ D.atoms - np.eye(64)).max() > 0.8 * ORTHO_TOL
             for alpha in (0.5, 4.0):
                 code = block_sparse_code(node.observations, D, DenoiseConfig(alpha=alpha))

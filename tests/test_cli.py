@@ -477,7 +477,7 @@ BAD_INPUTS = {
                 ["denoise", "--data", "{}"], "{}/node_001_observations.csv: could not convert"),
     "dictionary not orthonormal": (lambda t: str(skewed_dictionary(t)),
                                    ["denoise", "--data", "{}"],
-                                   "{}: node 1: dictionary flagged orthonormal but D^T D != I"),
+                                   "{}: node 1: dictionary is not orthonormal: D^T D != I\n"),
     "dictionary without atoms": (lambda t: str(atomless_dictionary(t)),
                                  ["denoise", "--data", "{}"],
                                  "{}: node 1: dictionary has no atoms\n"),

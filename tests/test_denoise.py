@@ -17,6 +17,7 @@ from sheaflearn import (
 from sheaflearn.core import ORTHO_TOL
 from sheaflearn.denoise import (
     SolverWarning,
+    _ista,
     coding_objective,
     extract_support,
     stationarity_residual,
@@ -26,7 +27,7 @@ from conftest import random_orthonormal
 
 def test_unregularized_orthonormal_is_least_squares(rng):
     d = 6
-    D = Dictionary(random_orthonormal(rng, d), orthonormal=True)
+    D = Dictionary(random_orthonormal(rng, d))
     X = rng.standard_normal((d, 9))
     code = block_sparse_code(X, D, DenoiseConfig(alpha=0.0))
     assert np.max(np.abs(code.coefficients - D.atoms.T @ X)) <= 1e-9
@@ -39,7 +40,7 @@ def test_large_alpha_kills_everything(rng):
     alpha = 2.0 * row_norms.max() * (1 + 1e-12)
     code = block_sparse_code(X, D, DenoiseConfig(alpha=alpha))
     assert np.max(np.abs(code.coefficients)) == 0.0
-    assert code.support == ()  # empty-support sentinel path
+    assert code.support == ()  # the empty support
     assert code.local_basis.shape[1] == 0
 
 
@@ -74,7 +75,7 @@ def test_stationarity_residual_small(rng):
 
 def test_sparsity_path_monotone_in_alpha(rng):
     # doubling alpha never grows the support, over a 5-point grid
-    D = Dictionary(random_orthonormal(rng, 12), orthonormal=True)
+    D = Dictionary(random_orthonormal(rng, 12))
     X = D.atoms[:, :4] @ rng.standard_normal((4, 30)) + 0.05 * rng.standard_normal((12, 30))
     counts = []
     for alpha in [0.25, 0.5, 1.0, 2.0, 4.0]:
@@ -97,14 +98,14 @@ def test_nonconvergence_warns_and_reports(rng):
 class TestClosedForm:
     """An orthonormal dictionary is coded by one group soft-threshold,
     S* = rowshrink(D^T X, alpha/2), with no iteration; ISTA on the same
-    atoms, flagged general, is the reference."""
+    atoms (``_ista``) is the reference."""
 
     @staticmethod
     def problem(rng, atoms):
         d = 12
         A = np.eye(d) if atoms == "identity" else random_orthonormal(rng, d)
         X = A[:, :4] @ rng.standard_normal((4, 30)) + 0.1 * rng.standard_normal((d, 30))
-        return X, Dictionary(A, orthonormal=True)
+        return X, Dictionary(A)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 4.0, "kill every row"])
     @pytest.mark.parametrize("atoms", ["identity", "qr"])
@@ -114,14 +115,15 @@ class TestClosedForm:
         if kill:  # just above twice the largest row norm of D^T X
             alpha = 2.0 * np.linalg.norm(D.atoms.T @ X, axis=1).max() * (1 + 1e-12)
         code = block_sparse_code(X, D, DenoiseConfig(alpha=alpha))
-        ref = block_sparse_code(X, Dictionary(D.atoms), DenoiseConfig(alpha=alpha), rel_tol=1e-14)
-        assert ref.converged and ref.iterations > 0
-        assert np.max(np.abs(code.coefficients - ref.coefficients)) <= 1e-12
-        assert abs(code.objective - ref.objective) <= 1e-12 * max(1.0, ref.objective)
-        assert code.support == ref.support
+        S, trace, iterations, rel_change = _ista(X, D, alpha, 5000, 1e-14)
+        assert rel_change < 1e-14 and iterations > 0
+        assert np.max(np.abs(code.coefficients - S)) <= 1e-12
+        assert abs(code.objective - trace[-1]) <= 1e-12 * max(1.0, trace[-1])
+        support, basis, compact = extract_support(S, D, DenoiseConfig().support_threshold)
+        assert code.support == support
         assert np.max(np.abs(code.local_basis @ code.compact_coeffs
-                             - ref.local_basis @ ref.compact_coeffs)) <= 1e-12
-        if kill:  # the empty-support sentinel
+                             - basis @ compact)) <= 1e-12
+        if kill:  # the empty support
             assert np.max(np.abs(code.coefficients)) == 0.0 and code.support == ()
             assert code.local_basis.shape == (12, 0) and code.compact_coeffs.shape == (0, 30)
 
@@ -182,12 +184,17 @@ class TestLocalBasis:
         with pytest.raises(EmptySupportError):
             extract_support(S, D, 2.0)  # relative threshold above the max row
 
-    def test_zero_code_raises(self):
+    def test_zero_code_has_the_empty_support(self, rng):
+        D = Dictionary(np.eye(3))
+        for rows in (3, 0):  # an all-zero code, and one with no rows
+            support, basis, compact = extract_support(np.zeros((rows, 2)), D, 0.0)
+            assert support == ()
+            assert basis.shape == (3, 0) and compact.shape == (0, 2)
         with pytest.raises(EmptySupportError):
-            extract_support(np.zeros((3, 2)), Dictionary(np.eye(3)), 0.0)
+            extract_support(rng.standard_normal((3, 2)), D, 2.0)  # nonzero, cut whole
 
     def test_recut_existing_code(self, rng):
-        D = Dictionary(random_orthonormal(rng, 6), orthonormal=True)
+        D = Dictionary(random_orthonormal(rng, 6))
         X = D.atoms[:, :2] @ rng.standard_normal((2, 10))
         code = block_sparse_code(X, D, DenoiseConfig(alpha=0.5))
         basis, compact = extract_local_basis(code, 1e-3)
@@ -202,7 +209,7 @@ class TestLocalBasis:
         ))
         node = ds.nodes[0]
         code = block_sparse_code(node.observations,
-                                 Dictionary(node.dictionary, orthonormal=True),
+                                 Dictionary(node.dictionary),
                                  DenoiseConfig(alpha=8.0))
         assert code.support == node.support
 
@@ -219,10 +226,9 @@ def test_zero_dictionary_rejected(rng):
                           Dictionary(np.zeros((3, 2))), DenoiseConfig())
 
 
-@pytest.mark.parametrize("orthonormal", [False, True])
-def test_dictionary_without_atoms_rejected(orthonormal):
+def test_dictionary_without_atoms_rejected():
     with pytest.raises(ValueError, match="^dictionary has no atoms$"):
-        Dictionary(np.zeros((3, 0)), orthonormal=orthonormal)
+        Dictionary(np.zeros((3, 0)))
 
 
 @pytest.mark.parametrize("scale, ok", [(0.5, True), (2.0, False)])
@@ -230,11 +236,30 @@ def test_orthonormal_flag_uses_the_map_tolerance(scale, ok):
     # D^T D - I is scale * ORTHO_TOL in one diagonal entry
     atoms = np.eye(3)
     atoms[1, 1] = np.sqrt(1.0 + scale * ORTHO_TOL)
-    if ok:
-        Dictionary(atoms, orthonormal=True)
-    else:
-        with pytest.raises(ValueError, match="flagged orthonormal"):
-            Dictionary(atoms, orthonormal=True)
+    assert Dictionary(atoms).orthonormal is ok
+
+
+def test_orthonormal_atoms_take_the_closed_form_unasked(rng):
+    # orthonormal columns, fewer atoms than rows, and no setting to say so
+    D = Dictionary(random_orthonormal(rng, 8)[:, :3])
+    X = rng.standard_normal((8, 20))
+    code = block_sparse_code(X, D, DenoiseConfig(alpha=0.5))
+    assert D.orthonormal and code.iterations == 0
+    S = _ista(X, D, 0.5, 5000, 1e-14)[0]
+    assert np.max(np.abs(code.coefficients - S)) <= 1e-12
+    with pytest.raises(TypeError):
+        Dictionary(D.atoms, orthonormal=True)  # read off the atoms, never set
+
+
+def test_atoms_off_the_orthonormality_tolerance_run_ista(rng):
+    atoms = random_orthonormal(rng, 6)
+    assert Dictionary(atoms).orthonormal is True
+    # now D^T D - I is 2 * ORTHO_TOL in one diagonal entry
+    atoms[:, 2] *= np.sqrt(1.0 + 2.0 * ORTHO_TOL)
+    D = Dictionary(atoms)
+    assert D.orthonormal is False
+    code = block_sparse_code(rng.standard_normal((6, 10)), D, DenoiseConfig(alpha=0.5))
+    assert code.iterations > 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -245,16 +270,15 @@ def test_non_finite_input_rejected_before_iterating(rng, bad, monkeypatch):
         raise AssertionError("ISTA ran on non-finite input")
 
     monkeypatch.setattr(denoise, "_objective", no_iterations)
-    D = Dictionary(random_orthonormal(rng, 8), orthonormal=True)
+    D = Dictionary(random_orthonormal(rng, 8))
     X = rng.standard_normal((8, 20))
     X[3, 7] = bad
     with pytest.raises(ValueError, match="non-finite entries in the observations"):
         block_sparse_code(X, D, DenoiseConfig())
     atoms = rng.standard_normal((8, 8))
     atoms[0, 4] = bad
-    for orthonormal in (False, True):
-        with pytest.raises(ValueError, match="non-finite entries in the dictionary atoms"):
-            Dictionary(atoms, orthonormal=orthonormal)
+    with pytest.raises(ValueError, match="non-finite entries in the dictionary atoms"):
+        Dictionary(atoms)
 
 
 @pytest.mark.parametrize("field, match", [("observations", "observations"),
@@ -282,14 +306,15 @@ def test_code_dataset_checks_every_node_before_coding_any(monkeypatch):
         raise AssertionError("coded a node of a dataset that fails its checks")
 
     monkeypatch.setattr(denoise, "block_sparse_code", no_coding)
-    with pytest.raises(ValueError, match="node 3: dictionary flagged orthonormal"):
+    with pytest.raises(ValueError, match=r"^node 3: dictionary is not orthonormal: D\^T D != I$"):
         code_dataset(ds, DenoiseConfig())
 
 
 def ista_settings(orthonormal, **settings):
-    """``block_sparse_code`` on a small problem, with ISTA's settings as keywords."""
-    return block_sparse_code(np.ones((3, 4)), Dictionary(np.eye(3), orthonormal=orthonormal),
-                             DenoiseConfig(), **settings)
+    """``block_sparse_code`` on a small problem, with ISTA's settings as
+    keywords: orthonormal atoms, or the general atoms 2 I."""
+    atoms = np.eye(3) if orthonormal else 2 * np.eye(3)
+    return block_sparse_code(np.ones((3, 4)), Dictionary(atoms), DenoiseConfig(), **settings)
 
 
 def test_config_validation():
