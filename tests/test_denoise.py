@@ -226,9 +226,12 @@ def test_zero_dictionary_rejected(rng):
                           Dictionary(np.zeros((3, 2))), DenoiseConfig())
 
 
-def test_dictionary_without_atoms_rejected():
+@pytest.mark.parametrize("has_rows", [False, True])
+def test_dictionary_without_atoms_rejected(has_rows):
+    # zero columns are rejected before orthonormality is read off them,
+    # with or without signal rows
     with pytest.raises(ValueError, match="^dictionary has no atoms$"):
-        Dictionary(np.zeros((3, 0)))
+        Dictionary(np.zeros((3 if has_rows else 0, 0)))
 
 
 @pytest.mark.parametrize("scale, ok", [(0.5, True), (2.0, False)])
