@@ -33,10 +33,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .synth import _integer, _real
+from .synth import _integer
 
 # Orthonormality tolerance for restriction maps.
 ORTHO_TOL = 1e-9
+
+# Relative eigenvalue threshold of ``global_section_dim``: a direction counts
+# as a section below SECTION_TOL times the Laplacian's spectral scale.
+SECTION_TOL = 1e-8
 
 # The longest run of ``_runs``, which one batched product handles (edges
 # sharing a tail node in total_variation, coboundary_apply,
@@ -119,17 +123,13 @@ class Sheaf:
     (E, 2, d, d) float array of orthonormal restriction maps with
     ``maps[e] = (F_tail, F_head)``. Both are stored read-only.
 
-    ``ambient_dim`` d is the common stalk dimension used for assembly.
-    ``per_node_dim[u]`` in (0, d] is only validated and serialized: no
-    computation reads it, and ``infer.build_sheaf`` (like ``make_sheaf`` by
-    default) gives every node d. The canonical constructors orient edges
-    tail = min(u, v), but any fixed orientation is accepted: the assembled
-    Laplacian is orientation-invariant.
+    ``ambient_dim`` d is the stalk dimension of every node and edge. The
+    canonical constructors orient edges tail = min(u, v), but any fixed
+    orientation is accepted: the assembled Laplacian is orientation-invariant.
     """
 
     node_count: int
     ambient_dim: int
-    per_node_dim: tuple[int, ...]
     edges: np.ndarray
     maps: np.ndarray
 
@@ -140,16 +140,6 @@ class Sheaf:
             raise SheafStructureError("node_count and ambient_dim must be positive")
         object.__setattr__(self, "node_count", V)
         object.__setattr__(self, "ambient_dim", d)
-        if not np.iterable(self.per_node_dim):
-            raise TypeError("per_node_dim must be a sequence of integers, "
-                            f"got {self.per_node_dim!r}")
-        object.__setattr__(self, "per_node_dim", tuple(
-            _integer(f"per_node_dim[{u}]", du) for u, du in enumerate(self.per_node_dim)))
-        if len(self.per_node_dim) != V:
-            raise SheafStructureError("per_node_dim length must equal node_count")
-        for u, du in enumerate(self.per_node_dim):
-            if not (0 < du <= d):
-                raise SheafStructureError(f"per_node_dim[{u}] = {du} outside (0, {d}]")
 
         edges = _edge_array(self.edges)
         maps = _map_stack(self.maps, len(edges), d).view()
@@ -188,24 +178,16 @@ class Sheaf:
         return len(self.edges)
 
 
-def make_sheaf(
-    node_count: int,
-    ambient_dim: int,
-    edges,
-    maps,
-    per_node_dim=None,
-) -> Sheaf:
-    """Build a sheaf from raw matrices, orienting each edge min -> max.
+def make_sheaf(node_count: int, ambient_dim: int, edges, maps) -> Sheaf:
+    """Build a sheaf with the stalk R^ambient_dim at every node from raw
+    matrices, orienting each edge min -> max.
 
     ``maps`` is a sequence of (F_u, F_v) pairs aligned with ``edges``, or the
     same as an (E, 2, d, d) array; F_u belongs to the first node of the pair
     as given, and the pair is swapped along with the edge whenever the
     orientation is normalized.
     """
-    node_count = _integer("node_count", node_count)
     ambient_dim = _integer("ambient_dim", ambient_dim)
-    if per_node_dim is None:
-        per_node_dim = (ambient_dim,) * node_count
     edges = _edge_array(edges)
     maps = _map_stack(maps, len(edges), ambient_dim)
     flip = edges[:, 0] > edges[:, 1]
@@ -213,7 +195,7 @@ def make_sheaf(
         edges[flip] = edges[flip, ::-1]
         maps = maps.copy()
         maps[flip] = maps[flip, ::-1]
-    return Sheaf(node_count, ambient_dim, per_node_dim, edges, maps)
+    return Sheaf(node_count, ambient_dim, edges, maps)
 
 
 def constant_sheaf(node_count: int, edges, dim: int = 1) -> Sheaf:
@@ -225,7 +207,7 @@ def constant_sheaf(node_count: int, edges, dim: int = 1) -> Sheaf:
                       np.broadcast_to(np.eye(dim), (len(edges), 2, dim, dim)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cochain0:
     """Node-indexed signal: one (ambient_dim x N) block per node."""
 
@@ -387,7 +369,7 @@ def total_variation(L: SheafLaplacian, x) -> float:
     return tv
 
 
-def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
+def global_section_dim(L: SheafLaplacian) -> int:
     """Dimension of the global section space H^0 = ker L, counted by
     spanning-tree transport without forming or factoring L.
 
@@ -409,16 +391,13 @@ def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
     |c| times the Rayleigh quotient in L of such a vector (and by Cauchy
     interlacing the k-th smallest mu / |c| is at least the k-th smallest
     eigenvalue of L on the component). The dense count takes eigenvalues of
-    L below tol * lambda_max(L); here mu / |c| is compared with
-    tol * 2 * max(maxdeg, 1), maxdeg over the whole graph. With orthonormal
-    maps, diagonal block u of L is deg(u) I, so maxdeg <= lambda_max(L) <=
-    2 maxdeg: the scale is within a factor of two of lambda_max(L) and needs
-    no eigensolve. A sheaf without edges has every G_c = 0, so h0 = V d.
-
-    ``tol`` must lie in (0, 1).
+    L below SECTION_TOL * lambda_max(L); here mu / |c| is compared with
+    SECTION_TOL * 2 * max(maxdeg, 1), maxdeg over the whole graph. With
+    orthonormal maps, diagonal block u of L is deg(u) I, so maxdeg <=
+    lambda_max(L) <= 2 maxdeg: the scale is within a factor of two of
+    lambda_max(L) and needs no eigensolve. A sheaf without edges has every
+    G_c = 0, so h0 = V d.
     """
-    if not 0.0 < _real("tol", tol) < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     sheaf = L.sheaf
     V, d = sheaf.node_count, sheaf.ambient_dim
     edges, maps = sheaf.edges, sheaf.maps
@@ -456,4 +435,4 @@ def global_section_dim(L: SheafLaplacian, tol: float = 1e-8) -> int:
 
     maxdeg = max(1, *map(len, adjacency))
     mu = np.linalg.eigvalsh(G)
-    return int(np.count_nonzero(mu < (tol * 2 * maxdeg) * sizes[:, None]))
+    return int(np.count_nonzero(mu < (SECTION_TOL * 2 * maxdeg) * sizes[:, None]))

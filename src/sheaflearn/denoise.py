@@ -38,7 +38,7 @@ class SolverWarning(UserWarning):
     relative objective change falling below ``rel_tol``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """Known synthesis dictionary with d-dimensional atoms as columns.
     ``orthonormal`` is read off the atoms, not set by the caller: it is true
@@ -83,7 +83,7 @@ class DenoiseConfig:
             raise ValueError(f"support_threshold must lie in [0, 1), got {self.support_threshold}")
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseCode:
     """Result of coding one node: full coefficients plus the compact form.
 

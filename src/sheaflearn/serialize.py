@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Sheaf, make_sheaf
+from .core import Sheaf, SheafStructureError, make_sheaf
 from .denoise import SparseCode
 from .infer import Candidates, EdgeSelection
 from .synth import Dataset, NodeData, _integer
@@ -110,10 +110,12 @@ def _json_map(m: np.ndarray) -> str:
 def save_sheaf(sheaf: Sheaf, path) -> None:
     """Write ``{nodes, ambient_dim, per_node_dim, edges: [{tail, head,
     F_tail, F_head}]}`` with row-major maps, one edge at a time, in the exact
-    layout of ``json.dumps(doc, indent=2, sort_keys=True)``."""
-    eye_bytes, _, eye_text = _identity(sheaf.ambient_dim)
+    layout of ``json.dumps(doc, indent=2, sort_keys=True)``. ``per_node_dim``
+    is d for every node: every stalk is R^d."""
+    d = sheaf.ambient_dim
+    eye_bytes, _, eye_text = _identity(d)
     with Path(path).open("w") as f:
-        f.write('{\n  "ambient_dim": %d,\n  "edges": [' % sheaf.ambient_dim)
+        f.write('{\n  "ambient_dim": %d,\n  "edges": [' % d)
         for e, ((u, v), pair) in enumerate(zip(sheaf.edges.tolist(), sheaf.maps)):
             f_tail, f_head = (eye_text if m.tobytes() == eye_bytes else _json_map(m)
                               for m in pair)
@@ -122,12 +124,14 @@ def save_sheaf(sheaf: Sheaf, path) -> None:
                     % ("," if e else "", f_head, f_tail, v, u))
         f.write("\n  ]" if sheaf.edge_count else "]")
         f.write(',\n  "nodes": %d,\n  "per_node_dim": %s\n}\n'
-                % (sheaf.node_count, _json_list(["%d" % k for k in sheaf.per_node_dim], 4)))
+                % (sheaf.node_count, _json_list(["%d" % d] * sheaf.node_count, 4)))
 
 
 def load_sheaf(path) -> Sheaf:
     """The sheaf a ``save_sheaf`` file describes. A map that is not d x d
-    numbers raises ``ValueError`` naming the file and the edge."""
+    numbers raises ``ValueError`` naming the file and the edge.
+    ``per_node_dim`` must hold one integer in (0, d] per node; it is checked
+    and not kept, since every stalk of a ``Sheaf`` is R^d."""
     doc = json.loads(Path(path).read_text())
     d = _integer("ambient_dim", doc["ambient_dim"])
     if d <= 0:  # checked before d sizes the map stack
@@ -144,7 +148,19 @@ def load_sheaf(path) -> Sheaf:
                 raise ValueError(f"{path}: edge {e}: {key} is not {d}x{d} numbers")
             flat.append(m)
     maps = np.stack(flat).reshape(len(edges), 2, d, d) if flat else np.empty((0, 2, d, d))
-    return make_sheaf(doc["nodes"], d, edges, maps, per_node_dim=doc["per_node_dim"])
+    # after make_sheaf, so a node count that is not a positive integer is
+    # reported as such, not as a length mismatch
+    sheaf = make_sheaf(doc["nodes"], d, edges, maps)
+    dims = doc["per_node_dim"]
+    if not np.iterable(dims):
+        raise TypeError(f"per_node_dim must be a sequence of integers, got {dims!r}")
+    dims = [_integer(f"per_node_dim[{u}]", k) for u, k in enumerate(dims)]
+    if len(dims) != sheaf.node_count:
+        raise SheafStructureError("per_node_dim length must equal node_count")
+    for u, k in enumerate(dims):
+        if not 0 < k <= d:
+            raise SheafStructureError(f"per_node_dim[{u}] = {k} outside (0, {d}]")
+    return sheaf
 
 
 # ---------------------------------------------------------------- datasets

@@ -76,7 +76,7 @@ def _check_protocol(seed: int, snapshots: int, rho: float, snr_db: float) -> Non
         raise ValueError("snr_db must be a number above -inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeData:
     """One node's observations together with the generating ground truth.
     ``clean_coeffs`` is None when a dataset is loaded without them (see
@@ -93,7 +93,7 @@ class NodeData:
         return self.dictionary @ self.clean_coeffs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     nodes: tuple[NodeData, ...]
     seed: int

@@ -59,7 +59,7 @@ def sheaf_to_dict(sheaf):
     return {
         "nodes": sheaf.node_count,
         "ambient_dim": d,
-        "per_node_dim": list(sheaf.per_node_dim),
+        "per_node_dim": [d] * sheaf.node_count,
         "edges": [
             {"tail": u, "head": v, "F_tail": f_tail, "F_head": f_head}
             for (u, v), (f_tail, f_head) in zip(

@@ -473,6 +473,9 @@ BAD_INPUTS = {
         "nodes": 2, "ambient_dim": 6, "per_node_dim": 6, "edges": []}),
         ["export", "--sheaf", "{}"],
         "{}: per_node_dim must be a sequence of integers, got 6\n"),
+    "sheaf with a per_node_dim out of range": (lambda t: write_json(t / "sheaf.json", {
+        "nodes": 2, "ambient_dim": 1, "per_node_dim": [1, 0], "edges": []}),
+        ["export", "--sheaf", "{}"], "{}: per_node_dim[1] = 0 outside (0, 1]\n"),
     "bad csv": (lambda t: str(corrupt_csv(t)),
                 ["denoise", "--data", "{}"], "{}/node_001_observations.csv: could not convert"),
     "dictionary not orthonormal": (lambda t: str(skewed_dictionary(t)),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -89,8 +90,7 @@ def test_sheaf_json_matches_json_dumps(tmp_path, rng):
     signed_eye = np.array([[1.0, -0.0], [0.0, 1.0]])
     swap = np.array([[-0.0, 1.0], [1.0, 0.0]])
     special = make_sheaf(4, 2, [(0, 1), (1, 2), (2, 3)],
-                         [(tiny, np.eye(2)), (small, signed_eye), (swap, np.eye(2))],
-                         per_node_dim=(1, 2, 2, 1))
+                         [(tiny, np.eye(2)), (small, signed_eye), (swap, np.eye(2))])
     for sheaf in (two_sided, scalar, special):
         assert written_bytes(save_sheaf, sheaf, tmp_path / "fast.json") == \
             written_bytes(oracle_save_sheaf, sheaf, tmp_path / "oracle.json")
@@ -121,7 +121,7 @@ def test_edgeless_sheaf_roundtrip(tmp_path):
     loaded = load_sheaf(tmp_path / "sheaf.json")
     assert loaded.edge_count == 0
     assert loaded.maps.shape == (0, 2, 2, 2)
-    assert (loaded.node_count, loaded.ambient_dim, loaded.per_node_dim) == (3, 2, (2, 2, 2))
+    assert (loaded.node_count, loaded.ambient_dim) == (3, 2)
 
 
 @pytest.mark.parametrize("text, match", [
@@ -149,8 +149,7 @@ def test_sheaf_json_roundtrip(tmp_path, rng):
     save_sheaf(sheaf, tmp_path / "sheaf.json")
     loaded = load_sheaf(tmp_path / "sheaf.json")
     assert np.array_equal(loaded.edges, sheaf.edges)
-    assert (loaded.node_count, loaded.ambient_dim, loaded.per_node_dim) == \
-        (sheaf.node_count, sheaf.ambient_dim, sheaf.per_node_dim)
+    assert (loaded.node_count, loaded.ambient_dim) == (sheaf.node_count, sheaf.ambient_dim)
     for e in range(sheaf.edge_count):
         assert np.array_equal(loaded.maps[e, 0], sheaf.maps[e, 0])
         assert np.array_equal(loaded.maps[e, 1], sheaf.maps[e, 1])
@@ -210,6 +209,52 @@ def test_non_integer_node_in_sheaf_json_rejected(tmp_path, key, value):
     (tmp_path / "sheaf.json").write_text(json.dumps(doc))
     with pytest.raises(SheafStructureError, match="edge 1 is .*node indices must be integers"):
         load_sheaf(tmp_path / "sheaf.json")
+
+
+def sheaf_file_with_node_dims(path, dim, per_node_dim, nodes=3):
+    """A sheaf.json of the constant sheaf on the path 0 - 1 - ... at ``dim``,
+    with ``per_node_dim`` written in place of the saved one."""
+    save_sheaf(constant_sheaf(nodes, [(u, u + 1) for u in range(nodes - 1)], dim=dim), path)
+    doc = json.loads(path.read_text())
+    doc["per_node_dim"] = per_node_dim
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("per_node_dim, match", [
+    ([2, 2], "per_node_dim length must equal node_count"),
+    ([2, 0, 2], r"per_node_dim\[1\] = 0 outside \(0, 2\]"),
+    ([2, 2, 3], r"per_node_dim\[2\] = 3 outside \(0, 2\]"),
+])
+def test_node_dimensions_rejected(tmp_path, per_node_dim, match):
+    path = sheaf_file_with_node_dims(tmp_path / "sheaf.json", 2, per_node_dim)
+    with pytest.raises(SheafStructureError, match=match):
+        load_sheaf(path)
+
+
+@pytest.mark.parametrize("per_node_dim", [[1, 1.0, True], [1, True, 1]])
+def test_non_integer_node_dimension_rejected(tmp_path, per_node_dim):
+    path = sheaf_file_with_node_dims(tmp_path / "sheaf.json", 1, per_node_dim)
+    with pytest.raises(TypeError, match=r"per_node_dim\[1\] must be an integer"):
+        load_sheaf(path)
+
+
+@pytest.mark.parametrize("per_node_dim", [1, 1.0])
+def test_per_node_dim_not_a_sequence_named(tmp_path, per_node_dim):
+    path = sheaf_file_with_node_dims(tmp_path / "sheaf.json", 1, per_node_dim)
+    match = re.escape(f"per_node_dim must be a sequence of integers, got {per_node_dim!r}")
+    with pytest.raises(TypeError, match=match):
+        load_sheaf(path)
+
+
+def test_node_dimensions_below_d_load_and_save_as_d(tmp_path):
+    # every stalk of a Sheaf is R^d: a file's smaller per-node dimensions
+    # pass the check and are not kept
+    path = sheaf_file_with_node_dims(tmp_path / "sheaf.json", 2, [1, 2, 2, 1], nodes=4)
+    save_sheaf(load_sheaf(path), tmp_path / "resaved.json")
+    doc = json.loads(path.read_text())
+    assert json.loads((tmp_path / "resaved.json").read_text()) == \
+        {**doc, "per_node_dim": [2, 2, 2, 2]}
 
 
 def test_dataset_roundtrip(tmp_path):
