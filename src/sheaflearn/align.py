@@ -144,10 +144,15 @@ def _operands(forms, u, v):
     M = B_u B_v^T (P, s, s), the bases Q_u and Q_v (P, d, s) and the norms
     ||X_u||_F^2 + ||X_v||_F^2. The pairs must share one block size
     s = max(1, k_u, k_v), which sizes each pair by its own nodes alone, so
-    its map does not depend on the pairs solved with it."""
+    its map does not depend on the pairs solved with it. Each M is one
+    product of the two nodes' blocks read in place, so no (P, s, N) copy of
+    the blocks is gathered."""
     Q, B, k, norms = forms
     s = max(1, int(k[u].max()), int(k[v].max()))
-    return B[u, :s] @ B[v, :s].transpose(0, 2, 1), Q[u, :, :s], Q[v, :, :s], norms[u] + norms[v]
+    M = np.empty((u.size, s, s))
+    for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+        np.matmul(B[a, :s], B[b, :s].T, out=M[i])
+    return M, Q[u, :, :s], Q[v, :, :s], norms[u] + norms[v]
 
 
 def _procrustes(M, Q_u, Q_v, norms):

@@ -5,10 +5,13 @@ A sheaf here assigns the ambient space R^d to every node and edge, and one
 orthonormal d x d restriction map per (node, edge) incidence. It is stored
 as two arrays: the edges as an (E, 2) array of (tail, head) pairs and the
 maps as one (E, 2, d, d) stack with maps[e] = (F_tail, F_head), which every
-function below reads directly. Total variation and the coboundary are
-computed one tail run at a time: the edges that share a tail node, in pieces
-of at most EDGE_CHUNK, so one matrix product applies all of a run's tail maps
-to the tail's signal; the head maps are applied one edge at a time, and one
+function below reads directly. Building a sheaf checks every map's
+orthonormality, except a map that is bit for bit the identity, whose
+A^T A - I is exactly 0. Total variation and the coboundary read the node
+signals in place and are computed one tail run at a time: the edges that
+share a tail node, in pieces of at most EDGE_CHUNK, so one matrix product
+applies all of a run's tail maps to the tail's signal, written into the one
+run buffer of the call; the head maps are applied one edge at a time, and one
 that is bit for bit the identity is not applied, since I x = x exactly. The
 global section count
 dim H^0 = dim ker L takes one breadth-first walk per component,
@@ -91,7 +94,7 @@ def _orthonormal(stack: np.ndarray) -> np.ndarray:
     and orthonormal dictionaries both pass through it."""
     gram = stack.swapaxes(-1, -2) @ stack
     gram -= np.eye(stack.shape[-1])
-    return np.abs(gram, out=gram).reshape(len(stack), -1).max(axis=1) <= ORTHO_TOL
+    return np.abs(gram, out=gram).max(axis=(1, 2)) <= ORTHO_TOL
 
 
 def _map_stack(maps, edge_count: int, d: int) -> np.ndarray:
@@ -155,10 +158,20 @@ class Sheaf:
             seen.add(key)
 
         # every map orthonormal, EDGE_CHUNK maps at a time (map 2e + side is
-        # maps[e, side])
+        # maps[e, side]). A map that is bit for bit I has A^T A - I = 0
+        # exactly and is not tested. The comparison and the tested maps go
+        # into one buffer each, since arrays of a new size per chunk were
+        # returned to the system and faulted in again; np.take's default
+        # mode would write through a temporary, and the indices are in range.
         flat = maps.reshape(-1, d, d)
+        eye = np.eye(d)
+        n = min(len(flat), EDGE_CHUNK)
+        same, tested = np.empty((n, d, d), bool), np.empty((n, d, d))
         for start in range(0, len(flat), EDGE_CHUNK):
-            bad = np.flatnonzero(~_orthonormal(flat[start:start + EDGE_CHUNK]))
+            chunk = flat[start:start + EDGE_CHUNK]
+            index = np.flatnonzero(~np.equal(chunk, eye, out=same[:len(chunk)]).all(axis=(1, 2)))
+            np.take(chunk, index, axis=0, out=tested[:index.size], mode="clip")
+            bad = index[~_orthonormal(tested[:index.size])]
             if bad.size:
                 e, side = divmod(int(start + bad[0]), 2)
                 what = ("has non-finite entries" if not np.all(np.isfinite(maps[e, side]))
@@ -253,14 +266,16 @@ class SheafLaplacian:
         return assemble_incidence(self.sheaf)
 
 
-def _node_signals(sheaf: Sheaf, x) -> np.ndarray:
-    """A ``total_variation`` signal as a (V, d, N) stack of node blocks; a
-    shape that does not fit, or a non-finite entry, raises SheafStructureError."""
+def _node_signals(sheaf: Sheaf, x):
+    """A ``total_variation`` signal as its V node blocks of shape (d, N),
+    read in place: a ``Cochain0``'s own blocks, or an array reshaped to
+    (V, d, N). A shape that does not fit, or a non-finite entry, raises
+    SheafStructureError."""
     V, d = sheaf.node_count, sheaf.ambient_dim
     if isinstance(x, Cochain0):  # its entries were checked when it was built
         if [b.shape[0] for b in x.blocks] != [d] * V:
             raise SheafStructureError(f"cochain blocks do not fit {V} nodes of dimension {d}")
-        return np.stack(x.blocks)
+        return x.blocks
     X = np.asarray(x, float)
     X = X.reshape(-1, 1) if X.ndim < 2 else X
     if X.ndim != 2 or X.shape[0] != V * d:
@@ -282,22 +297,27 @@ def _runs(keys: np.ndarray) -> list[np.ndarray]:
             for lo in range(start, hi, EDGE_CHUNK)]
 
 
-def _coboundary_runs(sheaf: Sheaf, xb: np.ndarray):
+def _coboundary_runs(sheaf: Sheaf, xb):
     """``(run, blocks)`` for every tail run of ``sheaf``: the run's m edge
     indices and their coboundary blocks F_tail x_tail - F_head x_head, shape
-    (m, d, N), of the node signals ``xb`` (V, d, N).
+    (m, d, N), of the node signals ``xb`` (V blocks of shape (d, N)).
 
-    One product applies the run's stacked tail maps to the tail's signal.
-    Every head map is then applied in place, one edge at a time, so a run
-    gathers no (m, d, N) copy of its head signals: a head map that is bit for
-    bit the identity is not applied (I x = x exactly) and its signal is
-    subtracted, any other is one F_head x_head product. The blocks equal the
-    per-edge products bit for bit."""
+    The blocks of every run are written into one buffer, sized by the
+    longest run, so a yielded ``blocks`` is valid only until the next run is
+    asked for. One product applies the run's stacked tail maps to the tail's
+    signal. Every head map is then applied in place, one edge at a time, so
+    a run gathers no (m, d, N) copy of its head signals: a head map that is
+    bit for bit the identity is not applied (I x = x exactly) and its signal
+    is subtracted, any other is one F_head x_head product. The blocks equal
+    the per-edge products bit for bit."""
     edges, maps, d = sheaf.edges, sheaf.maps, sheaf.ambient_dim
     eye = np.eye(d)
-    for run in _runs(edges[:, 0]):
+    runs = _runs(edges[:, 0])
+    buf = np.empty((max((run.size for run in runs), default=0) * d, xb[0].shape[-1]))
+    for run in runs:
         m = run.size
-        blocks = (maps[run, 0].reshape(m * d, d) @ xb[edges[run[0], 0]]).reshape(m, d, -1)
+        blocks = np.matmul(maps[run, 0].reshape(m * d, d), xb[edges[run[0], 0]],
+                           out=buf[:m * d]).reshape(m, d, -1)
         identity = (maps[run, 1] == eye).all(axis=(1, 2)).tolist()
         for j, (e, head) in enumerate(zip(run.tolist(), edges[run, 1].tolist())):
             blocks[j] -= xb[head] if identity[j] else maps[e, 1] @ xb[head]
@@ -352,7 +372,7 @@ def coboundary_apply(sheaf: Sheaf, x) -> list[np.ndarray]:
     """Apply the coboundary edge-wise: block e = F_tail x_tail - F_head x_head.
     ``x`` is any signal ``total_variation`` accepts."""
     xb = _node_signals(sheaf, x)
-    out = np.empty((sheaf.edge_count, *xb.shape[1:]))
+    out = np.empty((sheaf.edge_count, *xb[0].shape))
     for run, blocks in _coboundary_runs(sheaf, xb):
         out[run] = blocks
     return list(out)

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,6 +409,35 @@ class TestArrayValidation:
                            match=f"map at node {node} on edge 200 {what}"):
             self.build(24, 3, edges, maps)
 
+    @pytest.mark.parametrize("bad", ["scaled", "nan", "tilted"])
+    def test_bad_tail_among_identity_heads_named(self, rng, bad):
+        # every head is bit for bit I, so the check skips it and tests the
+        # tails only: edge 200's tail is past the first EDGE_CHUNK of them
+        edges, maps = self.arrays(24, 3)
+        maps[:, 0] = [random_orthonormal(rng, 3) for _ in range(len(edges))]
+        assert sheaflearn.core.EDGE_CHUNK < 200
+        self.build(24, 3, edges, maps)
+        F = maps[200, 0]
+        if bad == "scaled":
+            F *= 1 + 1e-6
+        elif bad == "tilted":
+            F[0, 1] += 1e-8
+        else:
+            F[1, 2] = np.nan
+        what = "is not orthonormal" if bad != "nan" else "has non-finite entries"
+        with pytest.raises(SheafStructureError,
+                           match=f"map at node {edges[200, 0]} on edge 200 {what}"):
+            self.build(24, 3, edges, maps)
+
+    def test_only_exact_identities_skip_the_check(self, rng):
+        # a head one entry of 1e-8 away from I is not skipped, and fails
+        edges, maps = self.arrays(24, 3)
+        maps[:, 0] = [random_orthonormal(rng, 3) for _ in range(len(edges))]
+        maps[200, 1, 2, 0] = 1e-8
+        with pytest.raises(SheafStructureError,
+                           match=f"map at node {edges[200, 1]} on edge 200 is not orthonormal"):
+            self.build(24, 3, edges, maps)
+
     def test_make_sheaf_orients_min_to_max(self, rng):
         F, G = random_orthonormal(rng, 2), random_orthonormal(rng, 2)
         sh = make_sheaf(3, 2, [(0, 1), (2, 1)], [(np.eye(2), np.eye(2)), (F, G)])
@@ -597,6 +627,48 @@ class TestTailRuns:
             tv = total_variation(assemble_laplacian(sh), X)
             edge_sum = sum(float(np.vdot(o, o)) for o in oracle)
             assert abs(tv - edge_sum) <= 1e-12 * edge_sum, name
+
+    @pytest.mark.parametrize("chunk", [128, 3])
+    def test_blocks_outlive_the_run_buffer(self, rng, monkeypatch, chunk):
+        # every run is written into one reused buffer: the returned blocks
+        # still equal the per-edge products and share no memory
+        monkeypatch.setattr(sheaflearn.core, "EDGE_CHUNK", chunk)
+        for name, sh in self.cases(rng).items():
+            X = rng.standard_normal((sh.node_count * sh.ambient_dim, 3))
+            blocks = coboundary_apply(sh, X)
+            for b, o in zip(blocks, per_edge_blocks(sh, X)):
+                assert np.array_equal(b, o), name
+            for i, b in enumerate(blocks):
+                assert not any(np.shares_memory(b, c) for c in blocks[i + 1:]), name
+
+    @pytest.mark.parametrize("snapshots", [1, 5])
+    def test_cochain_equals_its_array(self, rng, snapshots):
+        # a Cochain0's blocks are read in place, with the array's bits
+        for name, sh in self.cases(rng).items():
+            d = sh.ambient_dim
+            X = rng.standard_normal((sh.node_count * d, snapshots))
+            x = Cochain0(tuple(X[u * d:(u + 1) * d] for u in range(sh.node_count)))
+            L = assemble_laplacian(sh)
+            assert repr(total_variation(L, x)) == repr(total_variation(L, X)), name
+            for b, c in zip(coboundary_apply(sh, x), coboundary_apply(sh, X)):
+                assert np.array_equal(b, c), name
+
+    def test_total_variation_holds_one_run_at_a_time(self, rng):
+        # each tail is in at most 4 edges, so one run's blocks are a twelfth
+        # of the (V, d, N) signal: the traced peak stays below half of it
+        V, d, N = 48, 16, 256
+        edges = [(u, u + j) for u in range(V) for j in range(1, 5) if u + j < V]
+        maps = [(random_orthonormal(rng, d), np.eye(d) if e % 2 else random_orthonormal(rng, d))
+                for e in range(len(edges))]
+        L = assemble_laplacian(make_sheaf(V, d, edges, maps))
+        x = Cochain0(tuple(rng.standard_normal((d, N)) for _ in range(V)))
+        tracemalloc.start()
+        try:
+            total_variation(L, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < V * d * N * 8 / 2
 
     def test_runs_cover_every_edge_once(self, rng, monkeypatch):
         monkeypatch.setattr(sheaflearn.core, "EDGE_CHUNK", 4)
