@@ -35,7 +35,6 @@ from .denoise import (
     SparseCode,
     block_sparse_code,
     code_dataset,
-    extract_local_basis,
     l21_norm,
 )
 from .experiments import (

@@ -5,7 +5,9 @@ A sheaf here assigns the ambient space R^d to every node and edge, and one
 orthonormal d x d restriction map per (node, edge) incidence. It is stored
 as two arrays: the edges as an (E, 2) array of (tail, head) pairs and the
 maps as one (E, 2, d, d) stack with maps[e] = (F_tail, F_head), which every
-function below reads directly. Building a sheaf checks every map's
+function below reads directly. A float64 stack is stored as it is given,
+strides and all, so a broadcast identity (a constant sheaf's, a baseline
+``build_sheaf``'s) stays one d x d array. Building a sheaf checks every map's
 orthonormality, except a map that is bit for bit the identity, whose
 A^T A - I is exactly 0. Total variation and the coboundary read the node
 signals in place and are computed one tail run at a time: the edges that
@@ -98,10 +100,11 @@ def _orthonormal(stack: np.ndarray) -> np.ndarray:
 
 
 def _map_stack(maps, edge_count: int, d: int) -> np.ndarray:
-    """``maps`` as a C-contiguous (edge_count, 2, d, d) float array, without a
-    copy when it is one already."""
+    """``maps`` as an (edge_count, 2, d, d) float array. A float64 array is
+    kept as it is given, strides and all, so a broadcast identity stays one
+    d x d array; a list, another dtype or any other object is copied."""
     try:
-        maps = np.ascontiguousarray(maps, dtype=float)
+        maps = np.asarray(maps, dtype=float)
     except ValueError:
         raise SheafStructureError("restriction maps differ in shape") from None
     if maps.size == 0:
@@ -124,7 +127,10 @@ class Sheaf:
     """A cellular sheaf on a graph, held as two arrays: ``edges``, an (E, 2)
     integer array of oriented pairs (tail, head), and ``maps``, an
     (E, 2, d, d) float array of orthonormal restriction maps with
-    ``maps[e] = (F_tail, F_head)``. Both are stored read-only.
+    ``maps[e] = (F_tail, F_head)``. Both are stored read-only. A float64
+    ``maps`` array is stored as it is given, strides and all, so a broadcast
+    identity stays one d x d array; ``build_sheaf`` builds its ``Sheaf``
+    directly from the stack it fills.
 
     ``ambient_dim`` d is the stalk dimension of every node and edge. The
     canonical constructors orient edges tail = min(u, v), but any fixed
@@ -206,15 +212,17 @@ def make_sheaf(node_count: int, ambient_dim: int, edges, maps) -> Sheaf:
     flip = edges[:, 0] > edges[:, 1]
     if flip.any():
         edges[flip] = edges[flip, ::-1]
-        maps = maps.copy()
-        maps[flip] = maps[flip, ::-1]
+        if maps.strides[:2] != (0, 0):  # one map shared by every side needs no swap
+            maps = maps.copy()
+            maps[flip] = maps[flip, ::-1]
     return Sheaf(node_count, ambient_dim, edges, maps)
 
 
 def constant_sheaf(node_count: int, edges, dim: int = 1) -> Sheaf:
     """All stalks R^dim, all maps the identity; reduces to the classic graph.
     ``edges`` is any iterable of (u, v) pairs, a generator or an (E, 2)
-    array included; it is read once."""
+    array included; it is read once. The maps are one dim x dim identity
+    broadcast to the (E, 2, dim, dim) stack, and are stored that way."""
     edges = list(edges)
     return make_sheaf(node_count, dim, edges,
                       np.broadcast_to(np.eye(dim), (len(edges), 2, dim, dim)))

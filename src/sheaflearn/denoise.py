@@ -255,12 +255,6 @@ def extract_support(S: np.ndarray, D: Dictionary, threshold: float):
     return tuple(int(k) for k in keep), D.atoms[:, keep], S[keep, :]
 
 
-def extract_local_basis(code: SparseCode, threshold: float):
-    """Re-cut the compact representation of an existing code at a new threshold."""
-    support, basis, compact = extract_support(code.coefficients, code.dictionary, threshold)
-    return basis, compact
-
-
 def _checked_nodes(dataset) -> list[tuple[np.ndarray, Dictionary]]:
     """Each node's (observations, orthonormal dictionary), every node checked
     before any is coded. Bad input at a node (a non-finite entry, a shape

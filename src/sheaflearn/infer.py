@@ -19,7 +19,7 @@ import numpy as np
 from .align import EdgeCandidate, _checked_reps, _pair_distances, _score_pairs, _solve_maps
 # re-exported: perfbench's timing sites and perfbench/selftest.py wrap these names here
 from .align import procrustes_align, unaligned_distance  # noqa: F401
-from .core import Sheaf, make_sheaf
+from .core import Sheaf
 from .synth import _integer
 
 # the scoring modes, written only here: cli's --mode and SweepSpec.modes read them
@@ -150,21 +150,24 @@ def build_sheaf(selection: EdgeSelection) -> Sheaf:
     of the map stack from the nodes' compact forms, bit for bit equal to
     ``procrustes_align``'s: the Procrustes map U -> V on the data's range
     and the direct rotation of its complement (the optimal map closest to
-    I), so it is I outside the two nodes' bases. Baseline candidates get the
-    identity. F sits on the candidate's u side (the tail under the min-first
-    orientation); the head side of the map stack is the identity. Every
-    node gets the full ambient dimension as its stalk.
+    I), so it is I outside the two nodes' bases. F sits on the candidate's u
+    side, the tail, since the table's pairs are already min -> max; the head
+    side of the map stack is the identity. Baseline candidates get the
+    identity on both sides, as one d x d identity broadcast to the
+    (E0, 2, d, d) stack. Every node gets the full ambient dimension as its
+    stalk. The ``Sheaf`` is built directly from the stack, which its
+    constructor checks once.
     """
     table = selection.candidates
     if table.reps is None:
         raise ValueError("candidates carry no node representations; "
                          "score them with enumerate_candidates")
-    reps = table.reps
-    d = reps[0][0].shape[0]
-    maps = np.empty((selection.E0, 2, d, d))
-    # the identity heads, and the baseline tails; the map solve writes aligned tails
-    maps[:, 1 if table.mode == "aligned" else 0:] = np.eye(d)
+    d = table.reps[0][0].shape[0]
+    u, v = table.u[:selection.E0], table.v[:selection.E0]
     if table.mode == "aligned":
-        _solve_maps(reps, table.u[:selection.E0], table.v[:selection.E0], maps[:, 0])
-    edges = np.stack((table.u[:selection.E0], table.v[:selection.E0]), axis=1)
-    return make_sheaf(len(reps), d, edges, maps)
+        maps = np.empty((selection.E0, 2, d, d))
+        maps[:, 1] = np.eye(d)
+        _solve_maps(table.reps, u, v, maps[:, 0])
+    else:
+        maps = np.broadcast_to(np.eye(d), (selection.E0, 2, d, d))
+    return Sheaf(len(table.reps), d, np.stack((u, v), axis=1), maps)

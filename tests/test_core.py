@@ -159,6 +159,58 @@ class TestIncidence:
             assert np.array_equal(sh.maps, np.broadcast_to(np.eye(2), (3, 2, 2, 2)))
 
 
+class TestBroadcastMaps:
+    """A stack of one identity broadcast to (E, 2, d, d) is stored as given."""
+
+    def test_constant_sheaf_stores_one_identity(self, rng):
+        # 2000 edges at d = 32 would take a 33 MB stack; a third are given
+        # max -> min, which make_sheaf orients without copying the maps
+        V, d, N = 200, 32, 3
+        edges = [(v, u) if rng.random() < 1 / 3 else (u, v)
+                 for u, v in random_edges(rng, V, 2000)]
+        tracemalloc.start()
+        try:
+            sh = constant_sheaf(V, edges, dim=d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert sh.maps.strides[:2] == (0, 0)
+        X = rng.standard_normal((V * d, N))
+        Xb = X.reshape(V, d, N)
+        expected = float(np.sum((Xb[sh.edges[:, 0]] - Xb[sh.edges[:, 1]]) ** 2))
+        tv = total_variation(assemble_laplacian(sh), X)
+        assert abs(tv - expected) <= 1e-12 * expected
+
+    def test_make_sheaf_orients_a_broadcast_stack(self, rng):
+        edges = [(0, 1), (3, 1), (2, 0), (2, 3)]
+        maps = np.broadcast_to(np.eye(3), (4, 2, 3, 3))
+        sh = make_sheaf(4, 3, edges, maps)
+        assert sh.edges.tolist() == [[0, 1], [1, 3], [0, 2], [2, 3]]
+        assert np.array_equal(sh.maps, maps)
+        assert sh.maps.strides[:2] == (0, 0)
+        # a stack whose sides differ is still swapped with its edge
+        F = rotation(0.3)
+        one_side = np.broadcast_to(np.stack((F, np.eye(2))), (2, 2, 2, 2))
+        sh = make_sheaf(3, 2, [(1, 0), (1, 2)], one_side)
+        assert np.array_equal(sh.maps[0], [np.eye(2), F])
+        assert np.array_equal(sh.maps[1], [F, np.eye(2)])
+
+    def test_float64_stack_kept_in_place(self):
+        # signed permutations, exact in float32 too
+        P = np.eye(3)[[2, 0, 1]] * [1, -1, 1]
+        maps = np.stack([np.stack((P, np.eye(3))), np.stack((P.T, P))])
+        strided = np.empty((2, 2, 3, 6))[..., ::2]
+        strided[...] = maps
+        for given in (maps, strided):
+            sh = Sheaf(3, 3, np.array([[0, 1], [1, 2]]), given)
+            assert np.shares_memory(sh.maps, given) and sh.maps.strides == given.strides
+            assert given.flags.writeable and not sh.maps.flags.writeable
+        for copied in (maps.astype(np.float32), maps.tolist()):
+            sh = Sheaf(3, 3, np.array([[0, 1], [1, 2]]), copied)
+            assert sh.maps.dtype == np.float64 and not np.shares_memory(sh.maps, copied)
+
+
 class TestLaplacian:
     def test_constant_sheaf_equals_graph_laplacian(self, rng):
         for _ in range(10):

@@ -11,7 +11,6 @@ from sheaflearn import (
     SynthConfig,
     block_sparse_code,
     code_dataset,
-    extract_local_basis,
     generate_dataset,
 )
 from sheaflearn.core import ORTHO_TOL
@@ -192,14 +191,6 @@ class TestLocalBasis:
             assert basis.shape == (3, 0) and compact.shape == (0, 2)
         with pytest.raises(EmptySupportError):
             extract_support(rng.standard_normal((3, 2)), D, 2.0)  # nonzero, cut whole
-
-    def test_recut_existing_code(self, rng):
-        D = Dictionary(random_orthonormal(rng, 6))
-        X = D.atoms[:, :2] @ rng.standard_normal((2, 10))
-        code = block_sparse_code(X, D, DenoiseConfig(alpha=0.5))
-        basis, compact = extract_local_basis(code, 1e-3)
-        assert np.max(np.abs(basis @ compact
-                             - D.atoms[:, code.support] @ code.compact_coeffs)) <= 1e-9
 
     def test_recovers_generating_subset(self):
         # synthetic node from a 10-atom subset at 20 dB, alpha tuned

@@ -8,8 +8,10 @@ from sheaflearn import (
     Cochain0,
     assemble_laplacian,
     build_sheaf,
+    coboundary_apply,
     enumerate_candidates,
     global_section_dim,
+    make_sheaf,
     min_edges_for_connectivity,
     select_topology,
     total_variation,
@@ -19,7 +21,7 @@ import sheaflearn.core
 import sheaflearn.infer as infer
 from sheaflearn.infer import MODES
 from sheaflearn.align import EdgeCandidate, procrustes_align, unaligned_distance
-from sheaflearn.serialize import load_sheaf, save_sheaf
+from sheaflearn.serialize import load_sheaf, matrix_to_csv, save_sheaf
 from conftest import assert_runs, candidate_table, random_orthonormal
 
 
@@ -281,6 +283,33 @@ class TestBuildSheaf:
             assert np.array_equal(sheaf.maps[e, 0], np.eye(3))
             assert np.array_equal(sheaf.maps[e, 1], np.eye(3))
 
+    def test_baseline_maps_are_one_broadcast_identity(self, rng, tmp_path):
+        # the broadcast stack against its contiguous twin: every reader of
+        # sheaf.maps gives the same bits
+        V, d = 7, 4
+        reps = random_reps(rng, V, d)
+        sheaf = build_sheaf(select_topology(enumerate_candidates(reps, "baseline"), 12))
+        assert sheaf.maps.strides[:2] == (0, 0)
+        twin = make_sheaf(V, d, sheaf.edges, np.ascontiguousarray(sheaf.maps))
+        assert twin.maps.flags.c_contiguous and np.array_equal(twin.edges, sheaf.edges)
+        x = Cochain0(tuple(b @ s for b, s in reps))
+        L, L_twin = assemble_laplacian(sheaf), assemble_laplacian(twin)
+        assert repr(total_variation(L, x)) == repr(total_variation(L_twin, x))
+        for b, c in zip(coboundary_apply(sheaf, x), coboundary_apply(twin, x), strict=True):
+            assert np.array_equal(b, c)
+        assert global_section_dim(L) == global_section_dim(L_twin) == d
+        assert np.array_equal(L.matrix, L_twin.matrix)
+        B = L.incidence
+        assert np.max(np.abs(L.matrix - B @ B.T)) <= 1e-12 * np.linalg.norm(L.matrix)
+        for name, it in (("broadcast", sheaf), ("twin", twin)):
+            save_sheaf(it, tmp_path / f"{name}.json")
+            for e in range(it.edge_count):
+                matrix_to_csv(it.maps[e, 0], tmp_path / f"{name}_{e}_tail.csv")
+                matrix_to_csv(it.maps[e, 1], tmp_path / f"{name}_{e}_head.csv")
+        for path in tmp_path.glob("twin*"):
+            assert (tmp_path / path.name.replace("twin", "broadcast")).read_bytes() \
+                == path.read_bytes(), path.name
+
     def test_rotated_pair_yields_zero_tv(self, rng):
         Q = random_orthonormal(rng, 3)
         Xv = rng.standard_normal((3, 6))
@@ -314,14 +343,15 @@ class TestBuildSheaf:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_make_sheaf_gets_an_integer_edge_array(self, rng, monkeypatch, mode):
+        # build_sheaf hands its edges straight to Sheaf
         handed = []
-        make_sheaf = infer.make_sheaf
+        Sheaf = infer.Sheaf
 
-        def spy(node_count, ambient_dim, edges, maps, **kwargs):
+        def spy(node_count, ambient_dim, edges, maps):
             handed.append(edges)
-            return make_sheaf(node_count, ambient_dim, edges, maps, **kwargs)
+            return Sheaf(node_count, ambient_dim, edges, maps)
 
-        monkeypatch.setattr(infer, "make_sheaf", spy)
+        monkeypatch.setattr(infer, "Sheaf", spy)
         selection = select_topology(enumerate_candidates(random_reps(rng, 5, 3), mode), 4)
         sheaf = build_sheaf(selection)
         (edges,) = handed
