@@ -17,8 +17,10 @@ cost clamp, rank rule, the map) live once, in the batched kernel
 ``_procrustes`` and its ``_edge_rule``, and so does the pair math ``infer``
 runs on a whole graph, each batched function beside the one-pair function
 it equals: ``_score_pairs`` scores every pair through ``_edge_rule``
-without a map (``procrustes_align``'s costs), and ``_solve_maps`` solves
-the kept edges' maps only (``procrustes_align``'s maps). The plain distance
+without a map (``procrustes_align``'s costs), one whole tail node at a
+time, and ``_solve_maps`` solves the kept edges' maps only
+(``procrustes_align``'s maps), in runs of at most ``core.EDGE_CHUNK``
+pairs. Neither output depends on a batch size. The plain distance
 has one implementation, ``_pair_distances`` over every pair, and
 ``unaligned_distance`` is its two-node call.
 """
@@ -220,23 +222,25 @@ def _score_pairs(reps):
     values of the block B_u B_v^T (``_compact``'s blocks, zero-padded to
     kmax, which leaves them unchanged), and cost, rank and the degenerate
     flag come from ``_edge_rule``, as in ``procrustes_align``. The pairs
-    are walked in ``core._runs`` keyed by tail: each run, one u with
-    consecutive heads v, is decomposed from one matrix product, and no Gram
-    matrix of all nodes is formed.
+    are walked one tail at a time, in ``np.triu_indices`` order: tail u's
+    heads are u + 1, ..., V - 1, so all of its blocks come from one matrix
+    product over the slice B[u + 1:], whatever V is. No batch size cuts a
+    tail, so every cost, rank and sigma depends on the data alone, and no
+    Gram matrix of all nodes is formed: one tail's blocks take
+    (V - 1) * kmax^2 values.
     """
     Q, B, k, norms = _compact(reps)
     d, kmax = Q.shape[1:]
     u_of, v_of = np.triu_indices(len(reps), 1)
     chunks = []
-    for run in _runs(u_of):
-        u, vs = u_of[run[0]], v_of[run]
-        # a run's heads are consecutive, so B[vs] is a slice; block j is B_v B_u^T,
-        # with the singular values and Frobenius norm of its transpose B_u B_v^T
-        blocks = (B[vs[0]:vs[-1] + 1].reshape(-1, B.shape[2]) @ B[u].T).reshape(-1, kmax, kmax)
-        sigma = np.zeros((run.size, d))
+    for u in range(len(reps) - 1):
+        # block j is B_v B_u^T for v = u + 1 + j, with the singular values and
+        # Frobenius norm of its transpose B_u B_v^T
+        blocks = (B[u + 1:].reshape(-1, B.shape[2]) @ B[u].T).reshape(-1, kmax, kmax)
+        sigma = np.zeros((len(blocks), d))
         sigma[:, :kmax] = np.linalg.svd(blocks, compute_uv=False)
-        sigma[np.arange(d) >= np.minimum(k[u], k[vs])[:, None]] = 0.0
-        chunks.append((*_edge_rule(blocks, sigma, norms[u] + norms[vs]), sigma))
+        sigma[np.arange(d) >= np.minimum(k[u], k[u + 1:])[:, None]] = 0.0
+        chunks.append((*_edge_rule(blocks, sigma, norms[u] + norms[u + 1:]), sigma))
     return (u_of, v_of, *map(np.concatenate, zip(*chunks)))
 
 

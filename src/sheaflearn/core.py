@@ -48,13 +48,16 @@ ORTHO_TOL = 1e-9
 SECTION_TOL = 1e-8
 
 # The longest run of ``_runs``, which one batched product handles (edges
-# sharing a tail node in total_variation, coboundary_apply,
-# global_section_dim and align's pair scoring; kept edges sharing a block
-# size in align's map solve), and the maps per batch of the orthonormality
-# check. Bounds their buffers at EDGE_CHUNK x d x N
-# (residuals, cross products) and EDGE_CHUNK x d x d (Gram matrices, edge
-# constraints, scoring blocks, maps) values, whatever the edge or pair count.
-EDGE_CHUNK = 128
+# sharing a tail node in total_variation, coboundary_apply and
+# global_section_dim; kept edges sharing a block size in align's map solve),
+# and the maps per batch of the orthonormality check. Bounds their buffers at
+# EDGE_CHUNK x d x N (residuals) and EDGE_CHUNK x d x d (Gram matrices, edge
+# constraints, maps) values, whatever the edge count: at d = 64 and N = 512
+# a run buffer takes 8.4 MB. Coboundary blocks and maps equal the per-edge
+# results bit for bit at any bound, and align's pair scoring takes each tail
+# whole, not in runs; only the per-run sums of total_variation and
+# global_section_dim can move in their last bits with it.
+EDGE_CHUNK = 32
 
 
 class SheafStructureError(ValueError):
@@ -180,8 +183,15 @@ class Sheaf:
             bad = index[~_orthonormal(tested[:index.size])]
             if bad.size:
                 e, side = divmod(int(start + bad[0]), 2)
-                what = ("has non-finite entries" if not np.all(np.isfinite(maps[e, side]))
-                        else "is not orthonormal")
+                given = np.asarray(self.maps).dtype
+                if not np.all(np.isfinite(maps[e, side])):
+                    what = "has non-finite entries"
+                elif given.kind == "f" and np.finfo(given).eps > ORTHO_TOL:
+                    what = (f"is not orthonormal: the maps were given as {given}, whose "
+                            f"rounding ({np.finfo(given).eps:.1e}) exceeds ORTHO_TOL = "
+                            f"{ORTHO_TOL:g}")
+                else:
+                    what = "is not orthonormal"
                 raise SheafStructureError(
                     f"restriction map at node {edges[e, side]} on edge {e} {what}"
                 )

@@ -127,12 +127,27 @@ def save_sheaf(sheaf: Sheaf, path) -> None:
                 % (sheaf.node_count, _json_list(["%d" % d] * sheaf.node_count, 4)))
 
 
+def _maps_as_arrays(obj: dict) -> dict:
+    """``json.loads``'s object hook: an edge's ``F_tail`` and ``F_head`` lists
+    become float arrays as the edge is parsed, so the whole document never
+    holds its maps as Python floats. A list that does not convert is left as
+    it is, for ``load_sheaf``'s own check to name."""
+    for key in ("F_tail", "F_head"):
+        if isinstance(obj.get(key), list):
+            try:
+                obj[key] = np.array(obj[key], dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                pass
+    return obj
+
+
 def load_sheaf(path) -> Sheaf:
     """The sheaf a ``save_sheaf`` file describes. A map that is not d x d
     numbers raises ``ValueError`` naming the file and the edge.
     ``per_node_dim`` must hold one integer in (0, d] per node; it is checked
-    and not kept, since every stalk of a ``Sheaf`` is R^d."""
-    doc = json.loads(Path(path).read_text())
+    and not kept, since every stalk of a ``Sheaf`` is R^d. Each map is read
+    into a float array as its edge is parsed (``_maps_as_arrays``)."""
+    doc = json.loads(Path(path).read_text(), object_hook=_maps_as_arrays)
     d = _integer("ambient_dim", doc["ambient_dim"])
     if d <= 0:  # checked before d sizes the map stack
         raise ValueError(f"ambient_dim must be positive, got {d}")

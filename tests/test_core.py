@@ -442,8 +442,8 @@ class TestArrayValidation:
     @pytest.mark.parametrize("side", [0, 1])
     @pytest.mark.parametrize("bad", ["scaled", "nan", "inf", "tilted"])
     def test_bad_map_past_first_chunk_named(self, rng, side, bad):
-        # the complete graph on 24 nodes has 276 edges: edge 200 is in the
-        # second EDGE_CHUNK slice of the batched check
+        # the complete graph on 24 nodes has 276 edges: edge 200's maps,
+        # 400 and 401 in the check's order, lie past its first EDGE_CHUNK batch
         edges, _ = self.arrays(24, 3)
         assert len(edges) == 276
         maps = np.stack([random_orthonormal(rng, 3) for _ in range(2 * 276)]).reshape(276, 2, 3, 3)
@@ -489,6 +489,21 @@ class TestArrayValidation:
         with pytest.raises(SheafStructureError,
                            match=f"map at node {edges[200, 1]} on edge 200 is not orthonormal"):
             self.build(24, 3, edges, maps)
+
+    def test_float32_maps_named_in_the_message(self, rng):
+        # float32 moves a random QR map by about 1e-7, far above ORTHO_TOL
+        edges, maps = self.arrays(4, 3)
+        maps[:, 0] = [random_orthonormal(rng, 3) for _ in range(len(edges))]
+        self.build(4, 3, edges, maps)
+        with pytest.raises(SheafStructureError,
+                           match=r"map at node 0 on edge 0 is not orthonormal: the maps were "
+                                 r"given as float32, whose rounding \(1\.2e-07\) exceeds "
+                                 r"ORTHO_TOL = 1e-09$"):
+            self.build(4, 3, edges, maps.astype(np.float32))
+        # signed permutations are exact in float32, so they still pass
+        maps[:, 0] = np.eye(3)[[2, 0, 1]] * [1, -1, 1]
+        sh = self.build(4, 3, edges, maps.astype(np.float32))
+        assert sh.maps.dtype == np.float64 and np.array_equal(sh.maps, maps)
 
     def test_make_sheaf_orients_min_to_max(self, rng):
         F, G = random_orthonormal(rng, 2), random_orthonormal(rng, 2)

@@ -6,10 +6,14 @@ import pytest
 from sheaflearn import (
     Candidates,
     Cochain0,
+    DenoiseConfig,
+    SynthConfig,
     assemble_laplacian,
     build_sheaf,
     coboundary_apply,
+    code_dataset,
     enumerate_candidates,
+    generate_dataset,
     global_section_dim,
     make_sheaf,
     min_edges_for_connectivity,
@@ -65,7 +69,7 @@ def connected_by_bfs(node_count, edges):
 
 def record_runs(monkeypatch, chunk):
     """Cut ``core._runs`` at ``chunk`` edges and record every run that
-    ``align``'s batched scoring and map solve take from it, in call order."""
+    ``align``'s batched map solve takes from it, in call order."""
     runs = []
     splitter = align._runs
 
@@ -391,17 +395,27 @@ class TestScoringMatchesProcrustes:
         assert any(c.degenerate for c in cands)
         assert all(c.degenerate == (4 in c.pair) for c in cands)
 
-    def test_rows_split_into_several_slices(self, rng, monkeypatch):
-        # rows of up to 18 pairs cut into slices of 4, one of them partial
-        runs = record_runs(monkeypatch, 4)
-        reps = mixed_reps(rng)
-        cands = enumerate_candidates(reps)
-        self.assert_matches(cands, reps)
-        u_of, v_of = np.triu_indices(len(reps), 1)
-        assert_runs(runs, u_of, 4)
-        assert any(run.size < 4 for run in runs) and any(run.size == 4 for run in runs)
-        for run in runs:  # the heads of a run are consecutive
-            assert np.all(np.diff(v_of[run]) == 1)
+    def test_table_and_maps_do_not_depend_on_edge_chunk(self, monkeypatch):
+        # the learn config at V = 64 (d = 64, N = 512): tail 0 has 63 heads,
+        # so scoring in runs cut at EDGE_CHUNK pairs would move the last bits
+        # of the costs and singular values; each tail is scored whole
+        dataset = generate_dataset(SynthConfig(node_count=64, ambient_dim=64, snapshots=512,
+                                               dims=("uniform", 8, 32), seed=1))
+        reps = [(c.local_basis, c.compact_coeffs)
+                for c in code_dataset(dataset, DenoiseConfig(alpha=4.0))]
+        fields = ("u", "v", "cost", "rank", "degenerate", "sigma")
+        results = []
+        for chunk in (128, 32, 4):
+            monkeypatch.setattr(sheaflearn.core, "EDGE_CHUNK", chunk)
+            cands = enumerate_candidates(reps)
+            sheaf = build_sheaf(select_topology(cands, cands.connected_at))
+            results.append(([getattr(cands, name) for name in fields], sheaf.maps))
+        (columns, maps), *others = results
+        assert len(columns[0]) == 2016 and len(maps) > 1000
+        for other_columns, other_maps in others:
+            for name, a, b in zip(fields, columns, other_columns):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            assert maps.tobytes() == other_maps.tobytes()
 
     def test_empty_support_node_is_degenerate(self, rng):
         reps = random_reps(rng, 4, 3)
@@ -489,17 +503,19 @@ class TestMapsForChosenEdgesOnly:
                 assert np.array_equal(sheaf.maps[e, 0], np.eye(5))
         assert 0 < cands.degenerate[:E0].sum() <= 11 == cands.degenerate.sum()
 
-    def test_one_kernel_call_per_block_size(self, rng, monkeypatch):
-        # every pair of mixed_reps, in 6 block sizes of at most 126 pairs, so
-        # no run is cut: one batch per size, whatever the tails
+    def test_one_kernel_call_per_chunk_of_a_block_size(self, rng, monkeypatch):
+        # every pair of mixed_reps, in 6 block sizes of 1 to 126 pairs: one
+        # batch per EDGE_CHUNK-sized piece of each size, whatever the tails
         solved = self.counting(monkeypatch)
         reps = mixed_reps(rng)
         cands = enumerate_candidates(reps)
         sheaf = build_sheaf(select_topology(cands, len(cands)))
         k = np.array([min(D.shape) for D, _ in reps])
         counts = np.bincount(np.maximum(1, k[sheaf.edges].max(axis=1)))
-        assert np.count_nonzero(counts) >= 3 and counts.max() <= sheaflearn.core.EDGE_CHUNK
-        assert sorted(solved) == sorted(counts[counts > 0].tolist())
+        chunk = sheaflearn.core.EDGE_CHUNK
+        assert np.count_nonzero(counts) >= 3 and counts.max() > chunk
+        pieces = [min(chunk, n - lo) for n in counts.tolist() for lo in range(0, n, chunk)]
+        assert sorted(solved) == sorted(pieces)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_no_edges_kept(self, rng, tmp_path, mode):

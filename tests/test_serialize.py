@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,28 @@ def test_nested_maps_load_as_flat_ones(tmp_path, rng):
     assert np.array_equal(load_sheaf(tmp_path / "sheaf.json").maps, sheaf.maps)
 
 
+def test_maps_read_as_arrays_edge_by_edge(tmp_path, rng):
+    # signed permutations print as "0.0" and "-1.0", far shorter than the 32
+    # bytes a parsed Python float takes in a list: lists of every map would
+    # push the traced peak past the bound, arrays made as each edge is parsed
+    # stay within it (the file's text is held twice while it is read)
+    d = 16
+    edges = [(u, v) for u in range(40) for v in range(u + 1, 40)][:400]
+    maps = np.stack([np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
+                     for _ in range(2 * len(edges))]).reshape(-1, 2, d, d)
+    path = tmp_path / "sheaf.json"
+    save_sheaf(make_sheaf(40, d, edges, maps), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = load_sheaf(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.maps.tobytes() == maps.tobytes()
+    assert peak <= size + 3 * maps.nbytes
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_sheaf_json_rejected(tmp_path, rng, bad):
     save_sheaf(random_sheaf(rng, 3, 2, 2), tmp_path / "sheaf.json")
@@ -179,6 +202,8 @@ def test_non_finite_sheaf_json_rejected(tmp_path, rng, bad):
     ("F_tail", [1.0, 0.0, 0.0]),                  # ragged against the other map
     ("F_head", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),  # 2-D, but not 2 x 2
     ("F_tail", "identity"),
+    ("F_head", [[1.0, 0.0], [0.0]]),              # ragged, so left a list when parsed
+    ("F_tail", [1.0, "zero", 0.0, 1.0]),          # not numbers, left a list too
 ])
 def test_malformed_map_names_file_and_edge(tmp_path, rng, key, bad):
     save_sheaf(random_sheaf(rng, 3, 2, 3), tmp_path / "sheaf.json")
