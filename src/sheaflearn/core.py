@@ -103,11 +103,13 @@ def _orthonormal(stack: np.ndarray) -> np.ndarray:
 
 
 def _map_stack(maps, edge_count: int, d: int) -> np.ndarray:
-    """``maps`` as an (edge_count, 2, d, d) float array. A float64 array is
-    kept as it is given, strides and all, so a broadcast identity stays one
-    d x d array; a list, another dtype or any other object is copied."""
+    """``maps`` as an (edge_count, 2, d, d) floating array. An array of a
+    floating dtype is kept as it is given, dtype, strides and all, so a
+    broadcast identity stays one d x d array and ``Sheaf`` can name the dtype
+    a map was rounded to; a list or any other dtype is copied to float64."""
     try:
-        maps = np.asarray(maps, dtype=float)
+        given = np.asarray(maps)
+        maps = given if given.dtype.kind == "f" else np.asarray(maps, dtype=float)
     except ValueError:
         raise SheafStructureError("restriction maps differ in shape") from None
     if maps.size == 0:
@@ -154,7 +156,9 @@ class Sheaf:
         object.__setattr__(self, "ambient_dim", d)
 
         edges = _edge_array(self.edges)
-        maps = _map_stack(self.maps, len(edges), d).view()
+        maps = _map_stack(self.maps, len(edges), d)
+        given = maps.dtype
+        maps = maps.astype(float, copy=False).view()
         seen = set()
         for e, (u, v) in enumerate(edges.tolist()):
             if u == v:
@@ -183,7 +187,6 @@ class Sheaf:
             bad = index[~_orthonormal(tested[:index.size])]
             if bad.size:
                 e, side = divmod(int(start + bad[0]), 2)
-                given = np.asarray(self.maps).dtype
                 if not np.all(np.isfinite(maps[e, side])):
                     what = "has non-finite entries"
                 elif given.kind == "f" and np.finfo(given).eps > ORTHO_TOL:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _orthonormal
-from .synth import _integer, _real
+from .synth import _integer, _real, _scatter_rows
 
 
 class EmptySupportError(ValueError):
@@ -85,7 +85,15 @@ class DenoiseConfig:
 
 @dataclass(eq=False)
 class SparseCode:
-    """Result of coding one node: full coefficients plus the compact form.
+    """Result of coding one node, with the coefficients S held by their rows.
+
+    ``compact_coeffs`` holds the support rows of S, the rows whose norm
+    passes the support threshold; ``minor_support`` and ``minor_coeffs``
+    hold the other nonzero rows, those below the threshold; every other row
+    of S is zero. ``sign_bits`` is ``np.packbits`` of S's sign bits in
+    row-major order (K N / 8 bytes), which keeps the -0.0 entries that the
+    row shrink leaves in a zeroed row. ``coefficients`` builds the K x N
+    matrix S from these, bit for bit, on every read (it is not cached).
 
     ``local_basis @ compact_coeffs`` reproduces ``dictionary.atoms @ coefficients``
     with the below-threshold rows zeroed; a code that alpha zeroed whole has
@@ -96,11 +104,13 @@ class SparseCode:
     as its one trace entry.
     """
 
-    coefficients: np.ndarray          # K x N
     dictionary: Dictionary
     support: tuple[int, ...]          # atom indices with surviving row norm
     local_basis: np.ndarray           # d x d_u
-    compact_coeffs: np.ndarray        # d_u x N
+    compact_coeffs: np.ndarray        # d_u x N, the support rows of S
+    minor_support: tuple[int, ...]    # the nonzero rows of S below the threshold
+    minor_coeffs: np.ndarray          # len(minor_support) x N, those rows
+    sign_bits: np.ndarray             # np.packbits(np.signbit(S)), K N / 8 bytes
     objective: float
     converged: bool
     iterations: int
@@ -110,6 +120,16 @@ class SparseCode:
     @property
     def subspace_dim(self) -> int:
         return len(self.support)
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """S, K x N, built from the rows and the sign bits on every read."""
+        K, N = self.dictionary.atom_count, self.compact_coeffs.shape[1]
+        S = _scatter_rows(self.compact_coeffs, self.support, K)
+        S[list(self.minor_support)] = self.minor_coeffs
+        negative = np.unpackbits(self.sign_bits, count=K * N).reshape(K, N).view(bool)
+        # sets the sign of the zeros; a nonzero entry already has its own
+        return np.copysign(S, -1.0, out=S, where=negative)
 
 
 def _row_norms(S: np.ndarray) -> np.ndarray:
@@ -202,12 +222,17 @@ def block_sparse_code(X: np.ndarray, D: Dictionary, cfg: DenoiseConfig, *,
         S, trace, iterations, rel_change = _ista(X, D, cfg.alpha, max_iters, rel_tol)
 
     support, basis, compact = extract_support(S, D, cfg.support_threshold)
+    nonzero = S.any(axis=1)
+    nonzero[list(support)] = False
+    minor = np.flatnonzero(nonzero)
     return SparseCode(
-        coefficients=S,
         dictionary=D,
         support=support,
         local_basis=basis,
         compact_coeffs=compact,
+        minor_support=tuple(minor.tolist()),
+        minor_coeffs=S[minor],
+        sign_bits=np.packbits(np.signbit(S)),
         objective=trace[-1],
         converged=bool(rel_change < rel_tol),
         iterations=iterations,

@@ -208,20 +208,61 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
                out / "manifest.json")
 
 
+def _support(rec: dict, u: int, path) -> tuple[int, ...]:
+    """Node u's manifest support: distinct non-negative integers, or a
+    ``ValueError`` naming the node and ``path``."""
+    support = rec["support"]
+    if not isinstance(support, list) or not all(
+            isinstance(k, int) and not isinstance(k, bool) and k >= 0 for k in support):
+        raise ValueError(f"{path}: node {u}: support must be a list of atom indices, "
+                         f"got {support!r}")
+    if len(set(support)) != len(support):
+        raise ValueError(f"{path}: node {u}: support {support} repeats an atom index")
+    return tuple(support)
+
+
+def _clean_rows(path, u: int, support: tuple[int, ...], atom_count: int) -> np.ndarray:
+    """The support rows of node u's clean coefficient CSV ``path``, which must
+    hold one row per atom and zeros off the support; anything else raises a
+    ``ValueError`` naming the node and the file."""
+    m = matrix_from_csv(path)
+    if m.shape[0] != atom_count:
+        raise ValueError(f"{path}: node {u}: {m.shape[0]} coefficient rows, "
+                         f"the dictionary has {atom_count} atoms")
+    if support and max(support) >= atom_count:
+        raise ValueError(f"{path}: node {u}: support index {max(support)} outside "
+                         f"[0, {atom_count})")
+    rows = m[list(support)]
+    m[list(support)] = 0.0  # what is left is the part off the support
+    if m.any():
+        i, j = np.argwhere(m)[0]
+        raise ValueError(f"{path}: node {u}: nonzero entry {float(m[i, j])!r} at row {i}, "
+                         f"column {j}, off the support")
+    return rows
+
+
 def load_dataset(in_dir, clean_coeffs: bool = True) -> Dataset:
-    """Read a ``save_dataset`` directory. With ``clean_coeffs=False`` the
-    ground-truth coefficient CSVs are not read and each node's
-    ``clean_coeffs`` is None: denoising reads only the observations and the
-    dictionaries."""
+    """Read a ``save_dataset`` directory. Each support must hold distinct
+    non-negative integers. The clean coefficient CSV of a node is read into
+    its support rows (``NodeData.clean_rows``); it must have one row per
+    atom, every support index must be one of them, and every row off the
+    support must be zero. Each of these faults raises ``ValueError`` naming
+    the node and the file. With ``clean_coeffs=False`` the ground-truth CSVs
+    are not read and each node's ``clean_coeffs`` is None: denoising reads
+    only the observations and the dictionaries."""
     src = Path(in_dir)
     manifest = json.loads((src / "manifest.json").read_text())
     nodes = []
-    for rec in manifest["nodes"]:
+    for u, rec in enumerate(manifest["nodes"]):
+        observations = matrix_from_csv(src / rec["observations"])
+        dictionary = matrix_from_csv(src / rec["dictionary"])
+        support = _support(rec, u, src / "manifest.json")
         nodes.append(NodeData(
-            observations=matrix_from_csv(src / rec["observations"]),
-            dictionary=matrix_from_csv(src / rec["dictionary"]),
-            support=tuple(rec["support"]),
-            clean_coeffs=matrix_from_csv(src / rec["clean_coeffs"]) if clean_coeffs else None,
+            observations=observations,
+            dictionary=dictionary,
+            support=support,
+            clean_rows=(_clean_rows(src / rec["clean_coeffs"], u, support, dictionary.shape[1])
+                        if clean_coeffs else None),
             cluster=rec["cluster"],
         ))
     return Dataset(nodes=tuple(nodes), seed=manifest["seed"], params=manifest["params"])

@@ -76,17 +76,36 @@ def _check_protocol(seed: int, snapshots: int, rho: float, snr_db: float) -> Non
         raise ValueError("snr_db must be a number above -inf")
 
 
+def _scatter_rows(rows: np.ndarray, support, atom_count: int) -> np.ndarray:
+    """The atom_count x N matrix whose row ``support[i]`` is ``rows[i]``, zero elsewhere."""
+    S = np.zeros((atom_count, rows.shape[1]))
+    S[list(support)] = rows
+    return S
+
+
 @dataclass(frozen=True, eq=False)
 class NodeData:
     """One node's observations together with the generating ground truth.
-    ``clean_coeffs`` is None when a dataset is loaded without them (see
+
+    The clean coefficients are held by their rows: ``clean_rows`` is the
+    (|support|, N) array of the support rows, in ``support`` order, and
+    every other row is zero. ``clean_coeffs`` builds the K x N matrix from
+    them on every read (it is not cached). ``clean_rows``, and so
+    ``clean_coeffs``, is None when a dataset is loaded without them (see
     ``serialize.load_dataset``)."""
 
     observations: np.ndarray     # d x N, noisy
     dictionary: np.ndarray       # d x K, the known (orthonormal) dictionary
     support: tuple[int, ...]     # atom indices actually used
-    clean_coeffs: np.ndarray | None  # K x N, zero outside the support rows
+    clean_rows: np.ndarray | None  # |support| x N, the coefficients' support rows
     cluster: int | None = None
+
+    @property
+    def clean_coeffs(self) -> np.ndarray | None:
+        """K x N, zero outside the support rows; built on every read."""
+        if self.clean_rows is None:
+            return None
+        return _scatter_rows(self.clean_rows, self.support, self.dictionary.shape[1])
 
     @property
     def clean_signal(self) -> np.ndarray:
@@ -160,10 +179,10 @@ def _generate(generator: str, seed: int, node_count: int, d: int, n: int, rho: f
         rng = np.random.default_rng(node_ss[u])
         basis = np.linalg.qr(rng.standard_normal((d, d)))[0] if own_basis else eye
         support = np.sort(rng.choice(d, size=dims[u], replace=False))
-        S = np.zeros((d, n))
-        S[support, :] = rho * shared_rows(u, support) + mix * rng.standard_normal((dims[u], n))
-        nodes.append(NodeData(_add_noise(basis @ S, snr_db, rng), basis, tuple(support.tolist()),
-                              S, None if labels is None else labels[u]))
+        rows = rho * shared_rows(u, support) + mix * rng.standard_normal((dims[u], n))
+        clean = basis @ _scatter_rows(rows, support, d)  # the dense S lives for this product
+        nodes.append(NodeData(_add_noise(clean, snr_db, rng), basis, tuple(support.tolist()),
+                              rows, None if labels is None else labels[u]))
     return Dataset(tuple(nodes), seed, {
         "generator": generator, "node_count": node_count, "ambient_dim": d,
         "dims": dims, "snapshots": n, "rho": rho, "snr_db": snr_db})

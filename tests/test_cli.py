@@ -307,6 +307,15 @@ def skewed_dictionary(tmp_path):
     return data
 
 
+def repeated_support(tmp_path):
+    """A dataset directory whose node 1 support names one atom twice."""
+    data = generated(tmp_path)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["nodes"][1]["support"] = [2, 2, 5]
+    write_json(data / "manifest.json", manifest)
+    return data
+
+
 def atomless_dictionary(tmp_path):
     """A dataset directory whose node 1 dictionary is d x 0."""
     data = generated(tmp_path)
@@ -481,6 +490,10 @@ BAD_INPUTS = {
     "dictionary not orthonormal": (lambda t: str(skewed_dictionary(t)),
                                    ["denoise", "--data", "{}"],
                                    "{}: node 1: dictionary is not orthonormal: D^T D != I\n"),
+    "support repeats an atom": (lambda t: str(repeated_support(t)),
+                                ["denoise", "--data", "{}"],
+                                "{}/manifest.json: node 1: support [2, 2, 5] repeats an atom "
+                                "index\n"),
     "dictionary without atoms": (lambda t: str(atomless_dictionary(t)),
                                  ["denoise", "--data", "{}"],
                                  "{}: node 1: dictionary has no atoms\n"),

@@ -505,6 +505,19 @@ class TestArrayValidation:
         sh = self.build(4, 3, edges, maps.astype(np.float32))
         assert sh.maps.dtype == np.float64 and np.array_equal(sh.maps, maps)
 
+    @pytest.mark.parametrize("edge", [(0, 1), (1, 0)])
+    def test_make_sheaf_names_float32_maps_as_sheaf_does(self, rng, edge):
+        # a map pair given as a list of float32 arrays, swapped with its edge or not
+        Q, I32 = random_orthonormal(rng, 4).astype(np.float32), np.eye(4, dtype=np.float32)
+        node = edge[0]  # Q belongs to the first node of the pair as given
+        with pytest.raises(SheafStructureError,
+                           match=rf"map at node {node} on edge 0 is not orthonormal: the maps "
+                                 r"were given as float32, whose rounding \(1\.2e-07\) exceeds "
+                                 r"ORTHO_TOL = 1e-09$"):
+            make_sheaf(2, 4, [edge], [(Q, I32)])
+        sh = make_sheaf(2, 4, [edge], [(I32[[1, 0, 3, 2]], I32)])
+        assert sh.maps.dtype == np.float64
+
     def test_make_sheaf_orients_min_to_max(self, rng):
         F, G = random_orthonormal(rng, 2), random_orthonormal(rng, 2)
         sh = make_sheaf(3, 2, [(0, 1), (2, 1)], [(np.eye(2), np.eye(2)), (F, G)])

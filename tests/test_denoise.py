@@ -17,6 +17,7 @@ from sheaflearn.core import ORTHO_TOL
 from sheaflearn.denoise import (
     SolverWarning,
     _ista,
+    _row_shrink,
     coding_objective,
     extract_support,
     stationarity_residual,
@@ -165,6 +166,52 @@ class TestClosedForm:
                 code.final_rel_change) == (capped.support, capped.objective_trace,
                                            capped.iterations, capped.converged,
                                            capped.final_rel_change)
+
+
+class TestCoefficientRows:
+    """A code holds S by its rows and its sign bits; ``coefficients``
+    rebuilds the K x N matrix bit for bit, signed zeros included."""
+
+    @staticmethod
+    def problem(rng):
+        # two strong rows, two weak ones and eight rows of noise in R^12
+        Q = random_orthonormal(rng, 12)
+        scales = np.array([[4.0], [2.0], [1.0], [0.3]])
+        X = Q[:, :4] @ (scales * rng.standard_normal((4, 30))) + 0.1 * rng.standard_normal((12, 30))
+        return X, Q
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0, "kill every row"])
+    @pytest.mark.parametrize("solver", ["closed form", "ista"])
+    def test_coefficients_are_the_solvers_matrix_bit_for_bit(self, rng, solver, alpha):
+        X, Q = self.problem(rng)
+        D = Dictionary(Q if solver == "closed form" else 2.0 * Q)
+        if alpha == "kill every row":
+            alpha = 2.0 * np.linalg.norm(D.atoms.T @ X, axis=1).max() * (1 + 1e-12)
+        cfg = DenoiseConfig(alpha=alpha, support_threshold=0.4)
+        code = block_sparse_code(X, D, cfg)
+        if solver == "closed form":
+            S = _row_shrink(D.atoms.T @ X, alpha / 2.0)
+        else:
+            S = _ista(X, D, alpha, 5000, 1e-8)[0]
+        assert code.coefficients.tobytes() == S.tobytes()
+        zeroed = S[~S.any(axis=1)]
+        if alpha > 0:  # rows the shrink zeroed keep the signs of their entries
+            assert len(zeroed) and np.signbit(zeroed).any()
+        if alpha == 2.0:  # the weak rows are nonzero but fall below the threshold
+            assert len(code.support) == 2 and len(code.minor_support) >= 2
+
+    def test_no_array_held_is_k_by_n(self, rng):
+        X, Q = self.problem(rng)
+        code = block_sparse_code(X, Dictionary(Q), DenoiseConfig(alpha=2.0, support_threshold=0.4))
+        K, N = code.dictionary.atom_count, X.shape[1]
+        assert len(code.support) < K
+        held = [v for v in vars(code).values() if isinstance(v, np.ndarray)]
+        assert held and all(v.shape != (K, N) for v in held)
+        assert code.compact_coeffs.shape == (2, N) and code.minor_coeffs.shape == (2, N)
+        assert code.sign_bits.nbytes == K * N // 8
+        # built on every read, not kept
+        assert code.coefficients is not code.coefficients
+        assert all(v.shape != (K, N) for v in vars(code).values() if isinstance(v, np.ndarray))
 
 
 class TestLocalBasis:

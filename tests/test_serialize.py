@@ -303,6 +303,77 @@ def test_dataset_roundtrip(tmp_path):
         assert (a.support, a.cluster) == (b.support, b.cluster)
 
 
+def saved_dataset(tmp_path):
+    """A three-node dataset directory (d = K = 6) and its manifest."""
+    ds = generate_dataset(SynthConfig(node_count=3, ambient_dim=6, dims=2, snapshots=5, seed=4))
+    save_dataset(ds, tmp_path / "data")
+    path = tmp_path / "data" / "manifest.json"
+    return ds, path, json.loads(path.read_text())
+
+
+def test_dataset_loads_clean_coefficients_by_their_rows(tmp_path):
+    ds, path, _ = saved_dataset(tmp_path)
+    for a, b in zip(ds.nodes, load_dataset(tmp_path / "data").nodes):
+        assert b.clean_rows.tobytes() == a.clean_rows.tobytes()
+        assert b.clean_coeffs.tobytes() == a.clean_coeffs.tobytes()
+        K, N = b.dictionary.shape[1], b.observations.shape[1]
+        assert [name for name, v in vars(b).items()
+                if isinstance(v, np.ndarray) and v.shape == (K, N)] == ["observations"]
+    # written again, every file keeps its bytes
+    save_dataset(load_dataset(tmp_path / "data"), tmp_path / "again")
+    for file in sorted((tmp_path / "data").iterdir()):
+        assert (tmp_path / "again" / file.name).read_bytes() == file.read_bytes()
+
+
+@pytest.mark.parametrize("support, message", [
+    ([1, 6], "support index 6 outside [0, 6)"),
+    ([3, 3], "support [3, 3] repeats an atom index"),
+    ([1, -1], "support must be a list of atom indices, got [1, -1]"),
+    ([1, 2.0], "support must be a list of atom indices, got [1, 2.0]"),
+    ([True, 2], "support must be a list of atom indices, got [True, 2]"),
+    (3, "support must be a list of atom indices, got 3"),
+], ids=["out of range", "repeated", "negative", "float", "bool", "not a list"])
+def test_bad_support_names_the_node_and_the_file(tmp_path, support, message):
+    _, path, manifest = saved_dataset(tmp_path)
+    manifest["nodes"][1]["support"] = support
+    path.write_text(json.dumps(manifest))
+    # the range is checked against the rows of the clean coefficient CSV;
+    # everything else is checked from the manifest, with or without the CSVs
+    in_csv = support == [1, 6]
+    file = path.parent / "node_001_clean_coeffs.csv" if in_csv else path
+    match = f"^{re.escape(f'{file}: node 1: {message}')}$"
+    with pytest.raises(ValueError, match=match):
+        load_dataset(tmp_path / "data")
+    if not in_csv:
+        with pytest.raises(ValueError, match=match):
+            load_dataset(tmp_path / "data", clean_coeffs=False)
+
+
+def test_nonzero_entry_off_the_support_names_the_node_and_the_file(tmp_path):
+    ds, _, _ = saved_dataset(tmp_path)
+    row = next(k for k in range(6) if k not in ds.nodes[2].support)
+    file = tmp_path / "data" / "node_002_clean_coeffs.csv"
+    S = ds.nodes[2].clean_coeffs
+    S[row, 3] = -0.25
+    matrix_to_csv(S, file)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(file))}: node 2: nonzero entry "
+                                         rf"-0\.25 at row {row}, column 3, off the support$"):
+        load_dataset(tmp_path / "data")
+    # a -0.0 off the support is a zero
+    S[row, 3] = -0.0
+    matrix_to_csv(S, file)
+    assert load_dataset(tmp_path / "data").nodes[2].clean_coeffs[row, 3] == 0.0
+
+
+def test_clean_coefficients_of_the_wrong_height_name_the_node_and_the_file(tmp_path):
+    ds, _, _ = saved_dataset(tmp_path)
+    file = tmp_path / "data" / "node_000_clean_coeffs.csv"
+    matrix_to_csv(ds.nodes[0].clean_coeffs[:5], file)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(file))}: node 0: 5 coefficient "
+                                         "rows, the dictionary has 6 atoms$"):
+        load_dataset(tmp_path / "data")
+
+
 def test_codes_roundtrip(tmp_path):
     ds = generate_dataset(SynthConfig(node_count=3, ambient_dim=8, dims=3,
                                       snapshots=6, seed=6))

@@ -171,3 +171,72 @@ class TestClusterScenario:
             generate_cluster_scenario(0, **kwargs)
         with pytest.raises(ValueError):
             SynthConfig(**kwargs)
+
+
+def _dense_draw(seed, node_count, d, n, rho, snr_db, draw_dims, draw_latent, own_basis):
+    """Each node's dense coefficient matrix S and observations, drawn step by
+    step as the module docstring describes: the shared stream draws the
+    dimensions and the latent rows, node u's stream its basis, support,
+    private rows and noise."""
+    shared_ss, *node_ss = np.random.SeedSequence(seed).spawn(node_count + 1)
+    shared = np.random.default_rng(shared_ss)
+    dims = draw_dims(shared)
+    latent = draw_latent(shared)
+    out = []
+    for u in range(node_count):
+        rng = np.random.default_rng(node_ss[u])
+        basis = np.linalg.qr(rng.standard_normal((d, d)))[0] if own_basis else np.eye(d)
+        support = np.sort(rng.choice(d, size=dims[u], replace=False))
+        S = np.zeros((d, n))
+        S[support, :] = (rho * latent(u, support)
+                         + np.sqrt(1.0 - rho ** 2) * rng.standard_normal((dims[u], n)))
+        clean = basis @ S
+        raw = rng.standard_normal(clean.shape)
+        scale = np.sqrt(np.sum(clean * clean)) / (np.sqrt(np.sum(raw * raw))
+                                                  * 10.0 ** (snr_db / 20.0))
+        out.append((S, clean + scale * raw))
+    return out
+
+
+def test_clean_coeffs_are_the_generators_matrix_bit_for_bit():
+    cfg = SynthConfig(node_count=4, ambient_dim=10, dims=("uniform", 2, 5), snapshots=7,
+                      rho=0.8, snr_db=15.0, seed=3)
+    ds = generate_dataset(cfg)
+
+    def latent(shared):
+        rows = shared.standard_normal((10, 7))
+        return lambda u, support: rows[support, :]
+
+    want = _dense_draw(3, 4, 10, 7, 0.8, 15.0, lambda shared: shared.integers(2, 6, size=4),
+                       latent, own_basis=False)
+    for node, (S, X) in zip(ds.nodes, want):
+        assert node.clean_coeffs.tobytes() == S.tobytes()
+        assert node.observations.tobytes() == X.tobytes()
+
+
+def test_cluster_clean_coeffs_are_the_generators_matrix_bit_for_bit():
+    ds = generate_cluster_scenario(5, snapshots=6)
+
+    def latent(shared):
+        rows = [shared.standard_normal((10, 6)), shared.standard_normal((40, 6))]
+        return lambda u, support: rows[u // 8]
+
+    want = _dense_draw(5, 16, 64, 6, 0.9, 20.0, lambda shared: [10] * 8 + [40] * 8, latent,
+                       own_basis=True)
+    for node, (S, X) in zip(ds.nodes, want):
+        assert node.clean_coeffs.tobytes() == S.tobytes()
+        assert node.observations.tobytes() == X.tobytes()
+
+
+def test_clean_coefficients_held_by_their_rows():
+    ds = generate_dataset(SynthConfig(node_count=3, ambient_dim=12, dims=4, snapshots=9, seed=2))
+    for node in ds.nodes:
+        K, N = node.dictionary.shape[1], node.observations.shape[1]
+        assert len(node.support) < K
+        assert node.clean_rows.shape == (4, N)
+        # the observations are the one d x N array, and d = K here
+        assert [name for name, v in vars(node).items()
+                if isinstance(v, np.ndarray) and v.shape == (K, N)] == ["observations"]
+        S = node.clean_coeffs
+        assert S.shape == (K, N) and S is not node.clean_coeffs  # built on every read
+        assert np.array_equal(S[list(node.support)], node.clean_rows)
