@@ -9,14 +9,18 @@ function below reads directly. A float64 stack is stored as it is given,
 strides and all, so a broadcast identity (a constant sheaf's, a baseline
 ``build_sheaf``'s) stays one d x d array. Building a sheaf checks every map's
 orthonormality, except a map that is bit for bit the identity, whose
-A^T A - I is exactly 0. Total variation and the coboundary read the node
-signals in place and are computed one tail run at a time: the edges that
-share a tail node, in pieces of at most EDGE_CHUNK, so one matrix product
-applies all of a run's tail maps to the tail's signal, written into the one
-run buffer of the call; the head maps are applied one edge at a time, and one
-that is bit for bit the identity is not applied, since I x = x exactly. The
-global section count
-dim H^0 = dim ker L takes one breadth-first walk per component,
+A^T A - I is exactly 0, and the sheaf keeps which maps those are. Total
+variation and the coboundary read the node signals in place and are computed
+one piece of a tail run at a time: edges that share a tail node, at most
+EDGE_CHUNK of them and few enough (but at least one) that their blocks fit
+EDGE_CHUNK d^2 values, so one matrix product applies all of a piece's tail maps to the
+tail's signal, written into the one buffer of the call; the head maps are
+applied one edge at a time, and one that is bit for bit the identity is not
+applied, since I x = x exactly. Total variation sums each edge's squared
+norm from its own row dot products, and the edges' norms exactly rounded, so
+it depends on the data alone: not on the BLAS thread count (up to 10 000
+snapshots), not on EDGE_CHUNK and not on how the runs are cut. The global
+section count dim H^0 = dim ker L takes one breadth-first walk per component,
 which finds the component and transports a root value along the walk's tree
 in the same pass, then tests that value on every edge through the same
 coboundary kernel, one d x d eigenproblem per component: O(E d^3) work where
@@ -33,6 +37,7 @@ is V*d up to a few thousand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,13 +55,15 @@ SECTION_TOL = 1e-8
 # The longest run of ``_runs``, which one batched product handles (edges
 # sharing a tail node in total_variation, coboundary_apply and
 # global_section_dim; kept edges sharing a block size in align's map solve),
-# and the maps per batch of the orthonormality check. Bounds their buffers at
-# EDGE_CHUNK x d x N (residuals) and EDGE_CHUNK x d x d (Gram matrices, edge
-# constraints, maps) values, whatever the edge count: at d = 64 and N = 512
-# a run buffer takes 8.4 MB. Coboundary blocks and maps equal the per-edge
-# results bit for bit at any bound, and align's pair scoring takes each tail
-# whole, not in runs; only the per-run sums of total_variation and
-# global_section_dim can move in their last bits with it.
+# and the maps per batch of the orthonormality check. Every buffer they fill
+# holds at most EDGE_CHUNK x d x d values (coboundary blocks, Gram matrices,
+# edge constraints, maps), whatever the edge and snapshot counts: a run of
+# coboundary blocks is cut into pieces of EDGE_CHUNK x d // N edges (at least
+# one, so one edge's d x N block when N > EDGE_CHUNK x d), 4 edges and 1 MB at
+# d = 64 and N = 512. Coboundary blocks, maps and total_variation do not
+# depend on it, bit for bit, and align's pair scoring takes each tail whole;
+# only the per-run sums of global_section_dim can move in their last bits
+# with it.
 EDGE_CHUNK = 32
 
 
@@ -135,7 +142,10 @@ class Sheaf:
     ``maps[e] = (F_tail, F_head)``. Both are stored read-only. A float64
     ``maps`` array is stored as it is given, strides and all, so a broadcast
     identity stays one d x d array; ``build_sheaf`` builds its ``Sheaf``
-    directly from the stack it fills.
+    directly from the stack it fills. ``identity`` is not a constructor
+    argument: it is the read-only (E, 2) bool array that the map check finds,
+    ``identity[e, side]`` telling whether ``maps[e, side]`` equals I entry for
+    entry (so -0.0 counts as 0.0).
 
     ``ambient_dim`` d is the stalk dimension of every node and edge. The
     canonical constructors orient edges tail = min(u, v), but any fixed
@@ -178,11 +188,14 @@ class Sheaf:
         # mode would write through a temporary, and the indices are in range.
         flat = maps.reshape(-1, d, d)
         eye = np.eye(d)
+        identity = np.empty(len(flat), bool)
         n = min(len(flat), EDGE_CHUNK)
         same, tested = np.empty((n, d, d), bool), np.empty((n, d, d))
         for start in range(0, len(flat), EDGE_CHUNK):
             chunk = flat[start:start + EDGE_CHUNK]
-            index = np.flatnonzero(~np.equal(chunk, eye, out=same[:len(chunk)]).all(axis=(1, 2)))
+            found = identity[start:start + len(chunk)]
+            np.equal(chunk, eye, out=same[:len(chunk)]).all(axis=(1, 2), out=found)
+            index = np.flatnonzero(~found)
             np.take(chunk, index, axis=0, out=tested[:index.size], mode="clip")
             bad = index[~_orthonormal(tested[:index.size])]
             if bad.size:
@@ -200,10 +213,10 @@ class Sheaf:
                 )
 
         # maps is a view, so a caller's own array stays writeable
-        edges.flags.writeable = False
-        maps.flags.writeable = False
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "maps", maps)
+        identity = identity.reshape(-1, 2)
+        for name, array in (("edges", edges), ("maps", maps), ("identity", identity)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def edge_count(self) -> int:
@@ -319,30 +332,35 @@ def _runs(keys: np.ndarray) -> list[np.ndarray]:
 
 
 def _coboundary_runs(sheaf: Sheaf, xb):
-    """``(run, blocks)`` for every tail run of ``sheaf``: the run's m edge
-    indices and their coboundary blocks F_tail x_tail - F_head x_head, shape
-    (m, d, N), of the node signals ``xb`` (V blocks of shape (d, N)).
+    """``(piece, blocks)`` for every piece of a tail run of ``sheaf``: the
+    piece's m edge indices and their coboundary blocks
+    F_tail x_tail - F_head x_head, shape (m, d, N), of the node signals ``xb``
+    (V blocks of shape (d, N)).
 
-    The blocks of every run are written into one buffer, sized by the
-    longest run, so a yielded ``blocks`` is valid only until the next run is
-    asked for. One product applies the run's stacked tail maps to the tail's
-    signal. Every head map is then applied in place, one edge at a time, so
-    a run gathers no (m, d, N) copy of its head signals: a head map that is
-    bit for bit the identity is not applied (I x = x exactly) and its signal
-    is subtracted, any other is one F_head x_head product. The blocks equal
-    the per-edge products bit for bit."""
+    Each run of ``_runs`` is cut into pieces of
+    min(EDGE_CHUNK, max(1, EDGE_CHUNK d // N)) edges, so the one buffer that
+    every piece is written into holds at most EDGE_CHUNK d^2 values (or one
+    edge's d N, when N > EDGE_CHUNK d); a yielded ``blocks`` is valid only
+    until the next piece is asked for. One product applies the piece's
+    stacked tail maps to the tail's signal. Every head map is then applied in
+    place, one edge at a time, so a piece gathers no (m, d, N) copy of its
+    head signals: a head that ``sheaf.identity`` marks is not applied
+    (I x = x exactly) and its signal is subtracted, any other is one
+    F_head x_head product. The blocks equal the per-edge products bit for
+    bit."""
     edges, maps, d = sheaf.edges, sheaf.maps, sheaf.ambient_dim
-    eye = np.eye(d)
-    runs = _runs(edges[:, 0])
-    buf = np.empty((max((run.size for run in runs), default=0) * d, xb[0].shape[-1]))
-    for run in runs:
-        m = run.size
-        blocks = np.matmul(maps[run, 0].reshape(m * d, d), xb[edges[run[0], 0]],
-                           out=buf[:m * d]).reshape(m, d, -1)
-        identity = (maps[run, 1] == eye).all(axis=(1, 2)).tolist()
-        for j, (e, head) in enumerate(zip(run.tolist(), edges[run, 1].tolist())):
-            blocks[j] -= xb[head] if identity[j] else maps[e, 1] @ xb[head]
-        yield run, blocks
+    N = xb[0].shape[-1]
+    size = min(EDGE_CHUNK, max(1, EDGE_CHUNK * d // N)) if N else EDGE_CHUNK
+    pieces = [run[lo:lo + size] for run in _runs(edges[:, 0]) for lo in range(0, run.size, size)]
+    buf = np.empty((max((piece.size for piece in pieces), default=0) * d, N))
+    for piece in pieces:
+        m = piece.size
+        blocks = np.matmul(maps[piece, 0].reshape(m * d, d), xb[edges[piece[0], 0]],
+                           out=buf[:m * d]).reshape(m, d, N)
+        heads = zip(piece.tolist(), edges[piece, 1].tolist(), sheaf.identity[piece, 1].tolist())
+        for j, (e, head, identity) in enumerate(heads):
+            blocks[j] -= xb[head] if identity else maps[e, 1] @ xb[head]
+        yield piece, blocks
 
 
 def assemble_incidence(sheaf: Sheaf) -> np.ndarray:
@@ -400,14 +418,22 @@ def coboundary_apply(sheaf: Sheaf, x) -> list[np.ndarray]:
 
 
 def total_variation(L: SheafLaplacian, x) -> float:
-    """Quadratic form tr(X^T L X), summed one tail run at a time as the
-    squared edge disagreements ||F_tail x_tail - F_head x_head||^2. ``x`` is a
-    ``Cochain0``, a (V*d) x N array, or a length-V*d vector (x^T L x)."""
+    """Quadratic form tr(X^T L X), the sum of the squared edge disagreements
+    ||F_tail x_tail - F_head x_head||^2. ``x`` is a ``Cochain0``, a
+    (V*d) x N array, or a length-V*d vector (x^T L x).
+
+    Each edge's squared norm is the sum of its d row dot products, taken by
+    one batched product of a piece's (1, N) rows with their transposes: each
+    is one N-long BLAS dot, which OpenBLAS splits across threads only past
+    10 000 entries. The (E,) norms are summed by ``math.fsum``, exactly
+    rounded, so the result depends on neither the BLAS thread count (for
+    N <= 10 000), nor EDGE_CHUNK, nor how the runs are cut."""
     sheaf = L.sheaf
-    tv = 0.0
-    for _, r in _coboundary_runs(sheaf, _node_signals(sheaf, x)):
-        tv += float(np.vdot(r, r))
-    return tv
+    norms = np.empty(sheaf.edge_count)
+    for run, r in _coboundary_runs(sheaf, _node_signals(sheaf, x)):
+        rows = r.reshape(r.shape[0] * r.shape[1], 1, r.shape[2])
+        norms[run] = np.matmul(rows, rows.swapaxes(1, 2)).reshape(run.size, -1).sum(axis=1)
+    return math.fsum(norms.tolist())
 
 
 def global_section_dim(L: SheafLaplacian) -> int:

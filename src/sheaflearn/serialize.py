@@ -208,9 +208,10 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
                out / "manifest.json")
 
 
-def _support(rec: dict, u: int, path) -> tuple[int, ...]:
-    """Node u's manifest support: distinct non-negative integers, or a
-    ``ValueError`` naming the node and ``path``."""
+def _support(rec: dict, u: int, path, atom_count: int | None) -> tuple[int, ...]:
+    """Node u's manifest support: distinct non-negative integers below
+    ``atom_count`` (not bounded when it is None), or a ``ValueError`` naming
+    the node and ``path``."""
     support = rec["support"]
     if not isinstance(support, list) or not all(
             isinstance(k, int) and not isinstance(k, bool) and k >= 0 for k in support):
@@ -218,20 +219,21 @@ def _support(rec: dict, u: int, path) -> tuple[int, ...]:
                          f"got {support!r}")
     if len(set(support)) != len(support):
         raise ValueError(f"{path}: node {u}: support {support} repeats an atom index")
+    if atom_count is not None and support and max(support) >= atom_count:
+        raise ValueError(f"{path}: node {u}: support index {max(support)} outside "
+                         f"[0, {atom_count})")
     return tuple(support)
 
 
 def _clean_rows(path, u: int, support: tuple[int, ...], atom_count: int) -> np.ndarray:
     """The support rows of node u's clean coefficient CSV ``path``, which must
     hold one row per atom and zeros off the support; anything else raises a
-    ``ValueError`` naming the node and the file."""
+    ``ValueError`` naming the node and the file. Every support index is below
+    ``atom_count``."""
     m = matrix_from_csv(path)
     if m.shape[0] != atom_count:
         raise ValueError(f"{path}: node {u}: {m.shape[0]} coefficient rows, "
                          f"the dictionary has {atom_count} atoms")
-    if support and max(support) >= atom_count:
-        raise ValueError(f"{path}: node {u}: support index {max(support)} outside "
-                         f"[0, {atom_count})")
     rows = m[list(support)]
     m[list(support)] = 0.0  # what is left is the part off the support
     if m.any():
@@ -243,20 +245,23 @@ def _clean_rows(path, u: int, support: tuple[int, ...], atom_count: int) -> np.n
 
 def load_dataset(in_dir, clean_coeffs: bool = True) -> Dataset:
     """Read a ``save_dataset`` directory. Each support must hold distinct
-    non-negative integers. The clean coefficient CSV of a node is read into
-    its support rows (``NodeData.clean_rows``); it must have one row per
-    atom, every support index must be one of them, and every row off the
-    support must be zero. Each of these faults raises ``ValueError`` naming
-    the node and the file. With ``clean_coeffs=False`` the ground-truth CSVs
-    are not read and each node's ``clean_coeffs`` is None: denoising reads
-    only the observations and the dictionaries."""
+    non-negative integers below the dictionary's atom count K. The clean
+    coefficient CSV of a node is read into its support rows
+    (``NodeData.clean_rows``); it must have one row per atom, and every row
+    off the support must be zero. Each of these faults raises ``ValueError``
+    naming the node and the file. With ``clean_coeffs=False`` the
+    ground-truth CSVs are not read and each node's ``clean_coeffs`` is None:
+    denoising reads only the observations and the dictionaries, and a
+    dictionary without atoms is left to ``Dictionary``'s own error."""
     src = Path(in_dir)
     manifest = json.loads((src / "manifest.json").read_text())
     nodes = []
     for u, rec in enumerate(manifest["nodes"]):
         observations = matrix_from_csv(src / rec["observations"])
         dictionary = matrix_from_csv(src / rec["dictionary"])
-        support = _support(rec, u, src / "manifest.json")
+        atoms = dictionary.shape[1]
+        support = _support(rec, u, src / "manifest.json",
+                           atoms if atoms or clean_coeffs else None)
         nodes.append(NodeData(
             observations=observations,
             dictionary=dictionary,

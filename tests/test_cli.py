@@ -307,11 +307,11 @@ def skewed_dictionary(tmp_path):
     return data
 
 
-def repeated_support(tmp_path):
-    """A dataset directory whose node 1 support names one atom twice."""
+def node_1_support(tmp_path, support):
+    """A dataset directory whose node 1 support is ``support``."""
     data = generated(tmp_path)
     manifest = json.loads((data / "manifest.json").read_text())
-    manifest["nodes"][1]["support"] = [2, 2, 5]
+    manifest["nodes"][1]["support"] = support
     write_json(data / "manifest.json", manifest)
     return data
 
@@ -490,10 +490,14 @@ BAD_INPUTS = {
     "dictionary not orthonormal": (lambda t: str(skewed_dictionary(t)),
                                    ["denoise", "--data", "{}"],
                                    "{}: node 1: dictionary is not orthonormal: D^T D != I\n"),
-    "support repeats an atom": (lambda t: str(repeated_support(t)),
+    "support repeats an atom": (lambda t: str(node_1_support(t, [2, 2, 5])),
                                 ["denoise", "--data", "{}"],
                                 "{}/manifest.json: node 1: support [2, 2, 5] repeats an atom "
                                 "index\n"),
+    "support past the last atom": (lambda t: str(node_1_support(t, [1, 99])),
+                                   ["denoise", "--data", "{}"],
+                                   "{}/manifest.json: node 1: support index 99 outside "
+                                   "[0, 8)\n"),
     "dictionary without atoms": (lambda t: str(atomless_dictionary(t)),
                                  ["denoise", "--data", "{}"],
                                  "{}: node 1: dictionary has no atoms\n"),

@@ -1,6 +1,11 @@
 import dataclasses
+import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +355,29 @@ class TestArrayValidation:
         assert not sh.edges.flags.writeable and not sh.maps.flags.writeable
         assert maps.flags.writeable  # the caller's array is left alone
 
+    def test_identity_flags_kept_from_the_check(self, rng):
+        # 276 edges, past the check's first EDGE_CHUNK batch: random tails,
+        # heads I except edge 5 (random), edge 200 (one ulp off I, which is
+        # orthonormal but not I) and edge 250 (I with a -0.0, which is I)
+        edges, maps = self.arrays(24, 3)
+        maps[:, 0] = [random_orthonormal(rng, 3) for _ in range(len(edges))]
+        maps[5, 1] = random_orthonormal(rng, 3)
+        maps[200, 1, 0, 0] = np.nextafter(1.0, 2.0)
+        maps[250, 1, 0, 1] = -0.0
+        sh = self.build(24, 3, edges, maps)
+        expected = np.zeros((276, 2), bool)
+        expected[:, 1] = True
+        expected[[5, 200], 1] = False
+        assert sh.identity.dtype == bool and np.array_equal(sh.identity, expected)
+        assert not sh.identity.flags.writeable
+        assert "identity" not in [f.name for f in dataclasses.fields(Sheaf)]
+        with pytest.raises(TypeError, match="identity"):
+            Sheaf(24, 3, edges, maps, identity=expected)
+        # one broadcast identity: every map is I
+        sh = constant_sheaf(5, [(0, 1), (1, 2), (3, 4)], dim=3)
+        assert sh.identity.shape == (3, 2) and sh.identity.all()
+        assert make_sheaf(2, 3, [], []).identity.shape == (0, 2)
+
     def test_length_mismatch(self):
         edges, maps = self.arrays(4, 3)
         with pytest.raises(SheafStructureError, match="one map pair"):
@@ -693,10 +721,11 @@ class TestTailRuns:
             "edgeless": make_sheaf(4, 3, [], []),
         }
 
-    @pytest.mark.parametrize("chunk", [128, 3])
-    @pytest.mark.parametrize("snapshots", [1, 5])
+    @pytest.mark.parametrize("chunk", [128, 32, 3])
+    @pytest.mark.parametrize("snapshots", [1, 5, 40])
     def test_blocks_equal_per_edge_products(self, rng, monkeypatch, chunk, snapshots):
-        # chunk 3 cuts the runs of up to 8 edges into several pieces
+        # chunk 3 cuts the runs of up to 8 edges into several pieces, and at
+        # 40 snapshots into single edges at d <= 4
         monkeypatch.setattr(sheaflearn.core, "EDGE_CHUNK", chunk)
         for name, sh in self.cases(rng).items():
             X = rng.standard_normal((sh.node_count * sh.ambient_dim, snapshots))
@@ -704,9 +733,13 @@ class TestTailRuns:
             assert len(blocks) == len(oracle) == sh.edge_count, name
             for b, o in zip(blocks, oracle):
                 assert np.array_equal(b, o), name
+            # TV has the bits of each edge's own row dots, summed exactly
+            # rounded in edge order, at every chunk; reversed edges give them too
+            norms = [float(np.matmul(o[:, None, :], o[:, :, None]).sum()) for o in oracle]
             tv = total_variation(assemble_laplacian(sh), X)
-            edge_sum = sum(float(np.vdot(o, o)) for o in oracle)
-            assert abs(tv - edge_sum) <= 1e-12 * edge_sum, name
+            assert repr(tv) == repr(math.fsum(norms)), name
+            reversed_sheaf = Sheaf(sh.node_count, sh.ambient_dim, sh.edges[::-1], sh.maps[::-1])
+            assert repr(total_variation(assemble_laplacian(reversed_sheaf), X)) == repr(tv), name
 
     @pytest.mark.parametrize("chunk", [128, 3])
     def test_blocks_outlive_the_run_buffer(self, rng, monkeypatch, chunk):
@@ -733,22 +766,63 @@ class TestTailRuns:
             for b, c in zip(coboundary_apply(sh, x), coboundary_apply(sh, X)):
                 assert np.array_equal(b, c), name
 
+    def test_signal_without_snapshots(self, rng):
+        for name, sh in self.cases(rng).items():
+            X = np.zeros((sh.node_count * sh.ambient_dim, 0))
+            assert repr(total_variation(assemble_laplacian(sh), X)) == "0.0", name
+            assert [b.shape for b in coboundary_apply(sh, X)] == [(sh.ambient_dim, 0)] * sh.edge_count
+
+    def test_total_variation_does_not_depend_on_blas_threads(self):
+        # a learned sheaf at the learn config's d = 64 and N = 512: a dot
+        # product over a whole run was split across OpenBLAS threads and
+        # rounded differently at 1 and 2 of them at seeds 1, 2 and 3
+        script = """if True:
+            from sheaflearn import (Cochain0, DenoiseConfig, SynthConfig, assemble_laplacian,
+                                    build_sheaf, code_dataset, enumerate_candidates,
+                                    generate_dataset, select_topology, total_variation)
+            for seed in (1, 2, 3):
+                data = generate_dataset(SynthConfig(node_count=8, ambient_dim=64, snapshots=512,
+                                                    dims=("uniform", 2, 12), seed=seed))
+                reps = [(c.local_basis, c.compact_coeffs)
+                        for c in code_dataset(data, DenoiseConfig(alpha=4.0))]
+                cands = enumerate_candidates(reps)
+                L = assemble_laplacian(build_sheaf(select_topology(cands, len(cands))))
+                print(repr(total_variation(L, Cochain0(tuple(b @ s for b, s in reps)))))
+        """
+        src = str(Path(sheaflearn.core.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            outputs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                          capture_output=True, text=True).stdout)
+        assert len(outputs[0].split()) == 3
+        assert outputs[0] == outputs[1]
+
     def test_total_variation_holds_one_run_at_a_time(self, rng):
-        # each tail is in at most 4 edges, so one run's blocks are a twelfth
-        # of the (V, d, N) signal: the traced peak stays below half of it
-        V, d, N = 48, 16, 256
-        edges = [(u, u + j) for u in range(V) for j in range(1, 5) if u + j < V]
-        maps = [(random_orthonormal(rng, d), np.eye(d) if e % 2 else random_orthonormal(rng, d))
-                for e in range(len(edges))]
-        L = assemble_laplacian(make_sheaf(V, d, edges, maps))
+        # tail 0 has 4 edges, so its old run buffer of 4 d N values was four
+        # times EDGE_CHUNK d^2; at N = EDGE_CHUNK d a piece is one edge and
+        # the buffer is EDGE_CHUNK d^2 values. A head that is not I adds its
+        # one d x N product; past that only one tail map per piece is held.
+        V, d, N = 5, 128, 4096
+        bound = sheaflearn.core.EDGE_CHUNK * d * d * 8
+        assert sheaflearn.core.EDGE_CHUNK * d == N
+        edges = [(u, v) for u in range(V) for v in range(u + 1, V)]
         x = Cochain0(tuple(rng.standard_normal((d, N)) for _ in range(V)))
-        tracemalloc.start()
-        try:
-            total_variation(L, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < V * d * N * 8 / 2
+        for heads in ("identity", "mixed"):
+            maps = [(random_orthonormal(rng, d),
+                     np.eye(d) if heads == "identity" or e % 2 else random_orthonormal(rng, d))
+                    for e in range(len(edges))]
+            L = assemble_laplacian(make_sheaf(V, d, edges, maps))
+            tracemalloc.start()
+            try:
+                total_variation(L, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            head_product = d * N * 8 if heads == "mixed" else 0
+            assert 4 * d * N * 8 > bound + head_product
+            assert peak < bound + head_product + d * d * 8 + 65536, heads
 
     def test_runs_cover_every_edge_once(self, rng, monkeypatch):
         monkeypatch.setattr(sheaflearn.core, "EDGE_CHUNK", 4)

@@ -337,16 +337,13 @@ def test_bad_support_names_the_node_and_the_file(tmp_path, support, message):
     _, path, manifest = saved_dataset(tmp_path)
     manifest["nodes"][1]["support"] = support
     path.write_text(json.dumps(manifest))
-    # the range is checked against the rows of the clean coefficient CSV;
-    # everything else is checked from the manifest, with or without the CSVs
-    in_csv = support == [1, 6]
-    file = path.parent / "node_001_clean_coeffs.csv" if in_csv else path
-    match = f"^{re.escape(f'{file}: node 1: {message}')}$"
+    # every fault, the range against the dictionary's columns included, is
+    # checked from the manifest, with or without the clean coefficient CSVs
+    match = f"^{re.escape(f'{path}: node 1: {message}')}$"
     with pytest.raises(ValueError, match=match):
         load_dataset(tmp_path / "data")
-    if not in_csv:
-        with pytest.raises(ValueError, match=match):
-            load_dataset(tmp_path / "data", clean_coeffs=False)
+    with pytest.raises(ValueError, match=match):
+        load_dataset(tmp_path / "data", clean_coeffs=False)
 
 
 def test_nonzero_entry_off_the_support_names_the_node_and_the_file(tmp_path):
