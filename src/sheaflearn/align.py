@@ -36,8 +36,11 @@ from .core import _runs
 # Singular values below this fraction of sigma_max do not count towards rank.
 RANK_RTOL = 1e-10
 
-# Cross products with Frobenius norm below this are treated as identically
-# zero: any orthogonal map is then optimal and the identity is returned.
+# Cross products with Frobenius norm at most this fraction of the pair's
+# ||X_u||_F^2 + ||X_v||_F^2 are treated as identically zero: any orthogonal map
+# is then optimal and the identity is returned. Both sides scale as c^2 when
+# the signals scale by c, so the test does not depend on the signals' scale;
+# a pair of zero signals is degenerate.
 DEGENERATE_TOL = 1e-14
 
 
@@ -110,7 +113,7 @@ def _edge_rule(A, sigma, norms):
     norms, their descending singular values ``sigma`` (P, r), zeroed in place
     where degenerate, and ``norms`` = ||X_u||_F^2 + ||X_v||_F^2."""
     fro = np.sqrt(np.einsum("pij,pij->p", A, A))
-    degenerate = fro <= DEGENERATE_TOL * np.maximum(1.0, norms)
+    degenerate = fro <= DEGENERATE_TOL * norms
     sigma[degenerate] = 0.0
     cost = np.maximum(0.0, norms - 2.0 * np.sum(sigma, axis=1))
     rank = np.count_nonzero(sigma > RANK_RTOL * sigma[:, :1], axis=1)

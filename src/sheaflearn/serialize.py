@@ -8,11 +8,13 @@ rule written once in ``_save_node_csvs``; the index records every file name,
 and the readers take the names from it.
 
 All writers are deterministic: fixed float formatting, sorted JSON keys, no
-timestamps. CSV rows are formatted with one ``%`` per row, and ``save_sheaf``
-streams sheaf.json one edge at a time; both produce the same bytes as the
-per-float ``"%.17g"`` loop and ``json.dumps(doc, indent=2, sort_keys=True)``.
-The identity map, which every learned sheaf holds as F_head, is formatted once
-per size, as CSV rows and as a JSON map, and both writers reuse that text.
+timestamps. One function, ``_row_text``, formats every float row that the CSV
+and sheaf writers write, and caches the text by the row's bytes. A learned map
+is the identity outside the span of the two nodes' bases and every learned
+F_head is I, so most rows of sheaf.json and of the exported CSVs were written
+before, and their text is reused. ``save_sheaf`` streams sheaf.json one edge at
+a time. The bytes equal those of the per-float ``"%.17g"`` loop and of
+``json.dumps(doc, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -31,30 +33,35 @@ from .synth import Dataset, NodeData, _integer
 FLOAT_FMT = "%.17g"
 
 
-def _csv_rows(m: np.ndarray) -> str:
-    """The rows of a 2-D float array as CSV lines, one ``%`` per row."""
-    row = ",".join([FLOAT_FMT] * m.shape[1]) + "\n"
-    return "".join([row % tuple(r) for r in m.tolist()])
+@functools.lru_cache(maxsize=256)
+def _row_text(row: bytes, csv: bool) -> str:
+    """The text of one float64 row, given by its bytes: its CSV line of
+    ``%.17g`` entries, or its items inside a JSON map (``_json_map``), where
+    ``float.__repr__`` is the float text ``json`` writes.
+
+    The key is the row's bytes, so a ``-0.0`` row and a ``0.0`` row each get
+    their own text, and the width is part of the key. The bound of 256 rows
+    holds, at d = 64, the identity's rows and the rows of one map, and also
+    the coefficient, basis and compact rows of one code: at most about 4 MB
+    of text and keys at N = 512 snapshots."""
+    values = memoryview(row).cast("d").tolist()
+    if csv:
+        return ",".join([FLOAT_FMT] * len(values)) % tuple(values) + "\n"
+    return ",\n        ".join(map(float.__repr__, values))
 
 
-@functools.lru_cache(maxsize=4)
-def _identity(d: int) -> tuple[bytes, str, str]:
-    """The d x d identity's bytes, its CSV rows and its JSON map text
-    (``_json_map``), formatted once per size."""
-    eye = np.eye(d)
-    return eye.tobytes(), _csv_rows(eye), _json_map(eye)
+def _row_texts(m: np.ndarray, csv: bool) -> list[str]:
+    """``_row_text`` of each row of the 2-D array ``m``."""
+    data = np.ascontiguousarray(m, float).tobytes()
+    step = 8 * m.shape[1]
+    return [_row_text(data[i * step:(i + 1) * step], csv) for i in range(m.shape[0])]
 
 
 def matrix_to_csv(matrix: np.ndarray, path) -> None:
-    """Row-major CSV with a header row of column indices. A matrix bit for bit
-    equal to the identity reuses the identity's text."""
+    """Row-major CSV with a header row of column indices."""
     m = np.atleast_2d(np.asarray(matrix, float))
-    rows, cols = m.shape
-    if rows == cols and m.tobytes() == _identity(cols)[0]:
-        body = _identity(cols)[1]
-    else:
-        body = _csv_rows(m)
-    Path(path).write_text(",".join(map(str, range(cols))) + "\n" + body)
+    Path(path).write_text(",".join(map(str, range(m.shape[1]))) + "\n"
+                          + "".join(_row_texts(m, True)))
 
 
 def matrix_from_csv(path) -> np.ndarray:
@@ -102,9 +109,9 @@ def _json_list(items: list[str], indent: int) -> str:
 
 
 def _json_map(m: np.ndarray) -> str:
-    """A restriction map as its row-major JSON list inside an edge object;
-    ``float.__repr__`` is the float text ``json`` writes."""
-    return _json_list(list(map(float.__repr__, m.ravel().tolist())), 8)
+    """A restriction map as its row-major JSON list inside an edge object,
+    whose items sit 8 spaces deep."""
+    return _json_list(_row_texts(m, False), 8)
 
 
 def save_sheaf(sheaf: Sheaf, path) -> None:
@@ -113,12 +120,10 @@ def save_sheaf(sheaf: Sheaf, path) -> None:
     layout of ``json.dumps(doc, indent=2, sort_keys=True)``. ``per_node_dim``
     is d for every node: every stalk is R^d."""
     d = sheaf.ambient_dim
-    eye_bytes, _, eye_text = _identity(d)
     with Path(path).open("w") as f:
         f.write('{\n  "ambient_dim": %d,\n  "edges": [' % d)
         for e, ((u, v), pair) in enumerate(zip(sheaf.edges.tolist(), sheaf.maps)):
-            f_tail, f_head = (eye_text if m.tobytes() == eye_bytes else _json_map(m)
-                              for m in pair)
+            f_tail, f_head = map(_json_map, pair)
             f.write('%s\n    {\n      "F_head": %s,\n      "F_tail": %s,\n'
                     '      "head": %d,\n      "tail": %d\n    }'
                     % ("," if e else "", f_head, f_tail, v, u))
@@ -322,7 +327,7 @@ def candidates_to_csv(candidates: Candidates, path) -> None:
     # writes an integral float as "%s" writes the int
     table = np.column_stack([candidates.u, candidates.v, candidates.cost,
                              candidates.rank, candidates.sigma])
-    Path(path).write_text(header + "\n" + _csv_rows(table))
+    Path(path).write_text(header + "\n" + "".join(_row_texts(table, True)))
 
 
 # ------------------------------------------------------------------- graphs

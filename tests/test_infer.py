@@ -376,7 +376,7 @@ class TestScoringMatchesProcrustes:
             X_u, X_v = Du @ Su, Dv @ Sv
             A = X_u @ X_v.T
             norms = np.sum(X_u ** 2) + np.sum(X_v ** 2)
-            degenerate = np.linalg.norm(A) <= align.DEGENERATE_TOL * max(1.0, norms)
+            degenerate = np.linalg.norm(A) <= align.DEGENERATE_TOL * norms
             ref_sigma = np.zeros(d) if degenerate else np.linalg.svd(A, compute_uv=False)
             ref_cost = max(0.0, norms - 2.0 * np.sum(ref_sigma))
             ref_rank = int(np.sum(ref_sigma > align.RANK_RTOL * ref_sigma[0]))
@@ -416,6 +416,31 @@ class TestScoringMatchesProcrustes:
             for name, a, b in zip(fields, columns, other_columns):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
             assert maps.tobytes() == other_maps.tobytes()
+
+    @pytest.fixture(scope="class")
+    def learn_v16(self):
+        """The learn config at V = 16 (d = 64, N = 512, seed 1, alpha = 4): its
+        node representations and their candidate table."""
+        dataset = generate_dataset(SynthConfig(node_count=16, ambient_dim=64, snapshots=512,
+                                               dims=("uniform", 8, 32), seed=1))
+        reps = [(c.local_basis, c.compact_coeffs)
+                for c in code_dataset(dataset, DenoiseConfig(alpha=4.0))]
+        return reps, enumerate_candidates(reps)
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-10, 1e-12, 1e-60, 1e60])
+    def test_degenerate_test_is_relative(self, learn_v16, c):
+        # an absolute floor on ||X_u||^2 + ||X_v||^2 called all 120 pairs
+        # degenerate at c = 1e-10; the relative test keeps the costs at c^2
+        # times the unscaled costs, and so the table's order
+        reps, plain = learn_v16
+        scaled = enumerate_candidates([(b, c * s) for b, s in reps])
+        assert len(plain) == 120 and not plain.degenerate.any()
+        assert not scaled.degenerate.any()
+        assert (scaled.u.tolist(), scaled.v.tolist()) == (plain.u.tolist(), plain.v.tolist())
+        expected = c ** 2 * plain.cost
+        assert np.all(np.abs(scaled.cost - expected) <= 8.3e-16 * expected)
+        zero = enumerate_candidates([(b, 0.0 * s) for b, s in reps])
+        assert zero.degenerate.all() and not zero.cost.any()
 
     def test_empty_support_node_is_degenerate(self, rng):
         reps = random_reps(rng, 4, 3)

@@ -32,6 +32,7 @@ from sheaflearn.serialize import (
     write_dot,
     write_graphml,
 )
+import sheaflearn.serialize as serialize
 from conftest import (
     oracle_candidates_to_csv,
     oracle_matrix_to_csv,
@@ -79,6 +80,35 @@ def test_identity_csv_reuse_is_bit_exact(tmp_path, d):
     assert written_bytes(matrix_to_csv, signed, tmp_path / "fast.csv") == \
         written_bytes(oracle_matrix_to_csv, signed, tmp_path / "oracle.csv")
     assert (tmp_path / "fast.csv").read_text().splitlines()[1].endswith("-0")
+    # repeated rows, a +0.0 row next to a -0.0 row, and the identity's rows
+    # inside a matrix that is not I: each row's text is reused by its bytes
+    mixed = np.vstack([eye, eye[::-1], np.zeros((2, d)), -np.zeros((1, d)), np.zeros((1, d)),
+                       eye[:1], np.full((1, d), 0.1)])
+    for m in (mixed, mixed[::-1]):
+        assert written_bytes(matrix_to_csv, m, tmp_path / "fast.csv") == \
+            written_bytes(oracle_matrix_to_csv, m, tmp_path / "oracle.csv")
+
+
+def test_row_cache_is_bit_exact(tmp_path, rng):
+    # zero rows of width 1, then of width 2: the width is part of the key
+    for m in (np.zeros((3, 1)), np.zeros((3, 2)), np.zeros((3, 1))):
+        assert written_bytes(matrix_to_csv, m, tmp_path / "fast.csv") == \
+            written_bytes(oracle_matrix_to_csv, m, tmp_path / "oracle.csv")
+    # a transposed matrix and a column slice are not C-contiguous
+    base = rng.standard_normal((6, 4))
+    base.ravel()[:len(SPECIAL)] = SPECIAL[:base.size]
+    for m in (base.T, base[:, ::2], base):
+        assert written_bytes(matrix_to_csv, m, tmp_path / "fast.csv") == \
+            written_bytes(oracle_matrix_to_csv, m, tmp_path / "oracle.csv")
+    # an earlier matrix written again after more than 256 distinct rows,
+    # which evicted its rows from the cache
+    first = np.vstack([np.eye(5), rng.standard_normal((3, 5))])
+    expected = written_bytes(oracle_matrix_to_csv, first, tmp_path / "oracle.csv")
+    assert written_bytes(matrix_to_csv, first, tmp_path / "fast.csv") == expected
+    matrix_to_csv(rng.standard_normal((300, 5)), tmp_path / "other.csv")
+    misses = serialize._row_text.cache_info().misses
+    assert written_bytes(matrix_to_csv, first, tmp_path / "fast.csv") == expected
+    assert serialize._row_text.cache_info().misses - misses == len(first)
 
 
 def test_sheaf_json_matches_json_dumps(tmp_path, rng):
@@ -92,7 +122,17 @@ def test_sheaf_json_matches_json_dumps(tmp_path, rng):
     swap = np.array([[-0.0, 1.0], [1.0, 0.0]])
     special = make_sheaf(4, 2, [(0, 1), (1, 2), (2, 3)],
                          [(tiny, np.eye(2)), (small, signed_eye), (swap, np.eye(2))])
-    for sheaf in (two_sided, scalar, special):
+    # tails that hold the identity's last row, and a -0.0 variant of that row
+    turn = np.eye(3)
+    turn[:2, :2] = [[0.6, -0.8], [0.8, 0.6]]
+    signed_turn = turn.copy()
+    signed_turn[2, 0] = -0.0
+    signed_eye3 = np.eye(3)
+    signed_eye3[2, 1] = -0.0
+    partial = make_sheaf(4, 3, [(0, 1), (1, 2), (2, 3), (0, 3)],
+                         [(turn, np.eye(3)), (signed_turn, np.eye(3)),
+                          (np.eye(3), signed_eye3), (turn, signed_eye3)])
+    for sheaf in (two_sided, scalar, special, partial):
         assert written_bytes(save_sheaf, sheaf, tmp_path / "fast.json") == \
             written_bytes(oracle_save_sheaf, sheaf, tmp_path / "oracle.json")
 
